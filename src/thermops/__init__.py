@@ -51,7 +51,6 @@ from .bounds import (
 )
 from .cones import (
     ConeApprox,
-    cone_export,
     cone_from_json,
     elto_cone_sample,
     hull_margin,

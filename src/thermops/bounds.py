@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemSpec, _as_matrix
-from .channels import KrausChannel, TransitionMatrix, transition_matrix
+from .core import SystemSpec, _as_matrix, require_finite, require_unit_interval
+from .channels import KrausChannel, TransitionMatrix, qubit_retentions, transition_matrix
 
 
 def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
@@ -44,10 +44,9 @@ class MergeBoundReport:
 
 
 def _merge_report(r10, r32, x, keep, swap):
-    if not (r10 >= 0 and r32 >= 0):
-        raise ValueError("coherence magnitudes must be nonnegative")
-    if not (0.0 < x < 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    r10 = require_finite(r10, "r10", low=0.0)
+    r32 = require_finite(r32, "r32", low=0.0)
+    x = require_unit_interval(x, "x")
     strategy = "simultaneous-beta-swap" if swap > keep else "identity"
     return MergeBoundReport(r10=r10, r32=r32, x=x, bound=max(keep, swap), strategy=strategy)
 
@@ -69,10 +68,9 @@ def overlap_merge_bounds(a: float, b: float, q: float) -> dict:
     """Tighter merging limits for a ladder's two overlapping gap-1 pairs
     (entries (1,0) and (2,1), magnitudes a and b):
     down: max(sqrt((1-q^2) a^2 + b^2), a); up: max(a q, b)."""
-    if not (a >= 0 and b >= 0):
-        raise ValueError("coherence magnitudes must be nonnegative")
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
+    a = require_finite(a, "a", low=0.0)
+    b = require_finite(b, "b", low=0.0)
+    q = require_unit_interval(q, "q")
     down = max(math.sqrt((1.0 - q * q) * a * a + b * b), a)
     up = max(a * q, b)
     return {"down": down, "up": up}
@@ -81,13 +79,8 @@ def overlap_merge_bounds(a: float, b: float, q: float) -> dict:
 def qubit_damping_bound(p00: float, q: float) -> float:
     """Largest qubit coherence damping factor at ground retention p00:
     sqrt(p00 * p11) with p11 = 1 - (1 - p00)/q."""
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
-    if not (1.0 - q - 1e-12 <= p00 <= 1.0 + 1e-12):
-        raise ValueError(f"p00 must lie in [1-q, 1] = [{1-q}, 1]")
-    p00 = min(max(p00, 1.0 - q), 1.0)
-    p11 = 1.0 - (1.0 - p00) / q
-    return math.sqrt(p00 * max(p11, 0.0))
+    p00, p11 = qubit_retentions(p00, q)
+    return math.sqrt(p00 * p11)
 
 
 @dataclass(frozen=True)
@@ -129,12 +122,10 @@ def decoupling_witness(p: float, a: float, b: float, q: float) -> DecouplingWitn
     more than max((1-q) p a + (1-p) b, p a) on that mode.  Whenever
     a < b < a p (p+q-1)/(1-p)^2 the requirement exceeds the limit, so the
     decoupled state is unreachable."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
-    if a < 0 or b < 0:
-        raise ValueError("coherence magnitudes must be nonnegative")
+    p = require_unit_interval(p, "p")
+    q = require_unit_interval(q, "q")
+    a = require_finite(a, "a", low=0.0)
+    b = require_finite(b, "b", low=0.0)
     product = p * (p * a + (1.0 - p) * b)
     bound = max((1.0 - q) * p * a + (1.0 - p) * b, p * a)
     vacuous = p + q - 1.0 <= 0.0

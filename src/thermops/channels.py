@@ -20,7 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BathSpec, DensityMatrix, SystemSpec, _as_matrix, trace_distance
+from .core import (
+    NEG_FLOOR,
+    BathSpec,
+    DensityMatrix,
+    SystemSpec,
+    _as_matrix,
+    require_count,
+    require_finite,
+    require_unit_interval,
+    trace_distance,
+)
 
 UNITARY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -45,8 +55,7 @@ class BlockUnitary:
     blocks: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        require_count(self.d, "d", 1)
         blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
         for j, b in enumerate(blocks):
             want = min(self.d, j + 1)
@@ -56,16 +65,48 @@ class BlockUnitary:
         object.__setattr__(self, "blocks", blocks)
 
     @property
-    def n_shells(self) -> int:
-        return len(self.blocks)
-
-    @property
     def top_shell(self) -> int:
         return len(self.blocks) - 1
 
 
+def permutation_blocks(d: int, top_shell: int, perm) -> BlockUnitary:
+    """Shell blocks realizing a level permutation: full shells apply it,
+    partial shells stay identity unless the permutation preserves them."""
+    mats = []
+    for j in range(top_shell + 1):
+        size = min(d, j + 1)
+        levels = range(size)
+        m = np.eye(size)
+        if all(perm[k] < size for k in levels):
+            m = np.zeros((size, size))
+            for k in levels:
+                m[perm[k], k] = 1.0
+        mats.append(m)
+    return BlockUnitary(d, tuple(mats))
+
+
+def damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
+    """Rotation family on one level pair with shell-growing angle: shell j
+    rotates the pair by cos = r^(j/2), mimicking the optimal-damping qubit
+    construction embedded in a larger ladder."""
+    i, j_hi = pair
+    mats = []
+    for j in range(top_shell + 1):
+        size = min(d, j + 1)
+        m = np.eye(size)
+        if i < size and j_hi < size:
+            c = r ** (j / 2.0)
+            s = np.sqrt(max(0.0, 1.0 - r**j))
+            m[i, i] = c
+            m[j_hi, j_hi] = c
+            m[i, j_hi] = s
+            m[j_hi, i] = -s
+        mats.append(m)
+    return BlockUnitary(d, tuple(mats))
+
+
 def identity_blocks(d: int, top_shell: int) -> BlockUnitary:
-    return BlockUnitary(d, tuple(np.eye(min(d, j + 1)) for j in range(top_shell + 1)))
+    return permutation_blocks(d, top_shell, range(d))
 
 
 def haar_stack(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
@@ -127,9 +168,6 @@ class KrausChannel:
             out += k @ m @ k.conj().T
         return out
 
-    def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.apply(rho))
-
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """self after other (self o other)."""
         if self.dim != other.dim:
@@ -179,8 +217,7 @@ class TransitionMatrix:
         g = np.array(self.G, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("transition matrix must be square")
-        if g.min() < -1e-12:
-            raise ValueError("negative transition probability")
+        require_finite(g, "transition probabilities", low=NEG_FLOOR)
         colsum_dev = np.abs(g.sum(axis=0) - 1.0).max()
         if colsum_dev > COMPLETENESS_TOL:
             raise ValueError(f"columns must sum to 1 (deviation {colsum_dev:.2e})")
@@ -314,9 +351,17 @@ def beta_swap_qubit(bath: BathSpec) -> BlockUnitary:
     """Population-exchange limit of qubit thermal contact: every excited
     shell swaps |0, j> and |1, j-1>.  Kills all coherence; the transition
     matrix hits the boundary p(0|0) = 1 - q up to truncation error."""
-    top = bath.truncation + 1
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return BlockUnitary(2, (np.eye(1),) + (swap,) * top)
+    return permutation_blocks(2, bath.truncation + 1, (1, 0))
+
+
+def qubit_retentions(p00: float, q: float):
+    """(p00, p11) of a Gibbs-preserving qubit channel with ground retention
+    p00: p11 = 1 - (1-p00)/q.  p00 must lie in [1-q, 1]; float dust outside
+    that range, and below p11 = 0, is clamped away."""
+    q = require_unit_interval(q, "q")
+    p00 = require_finite(p00, "p00", low=1.0 - q + NEG_FLOOR, high=1.0 - NEG_FLOOR)
+    p00 = min(max(p00, 1.0 - q), 1.0)
+    return p00, max(0.0, 1.0 - (1.0 - p00) / q)
 
 
 def qubit_optimal_sto(p00: float, bath: BathSpec) -> BlockUnitary:
@@ -326,18 +371,8 @@ def qubit_optimal_sto(p00: float, bath: BathSpec) -> BlockUnitary:
     Shell j gets the rotation [[r^(j/2), s], [-s, r^(j/2)]] with
     r = p11/p00, which makes the excited amplitude vector exactly
     proportional to the ground one (free phases set to zero)."""
-    q = bath.q
-    if not (1.0 - q - 1e-12 <= p00 <= 1.0 + 1e-12):
-        raise ValueError(f"p00 must lie in [1-q, 1] = [{1-q}, 1]")
-    p00 = min(max(p00, 1.0 - q), 1.0)
-    p11 = 1.0 - (1.0 - p00) / q
-    r = p11 / p00
-    blocks = [np.eye(1)]
-    for j in range(1, bath.truncation + 2):
-        c = r ** (j / 2.0)
-        s = np.sqrt(max(0.0, 1.0 - r**j))
-        blocks.append(np.array([[c, s], [-s, c]]))
-    return BlockUnitary(2, tuple(blocks))
+    p00, p11 = qubit_retentions(p00, bath.q)
+    return damping_blocks(2, bath.truncation + 1, (0, 1), p11 / p00)
 
 
 def simultaneous_beta_swap_kraus(x: float, e2: int = 1) -> KrausChannel:
@@ -349,8 +384,7 @@ def simultaneous_beta_swap_kraus(x: float, e2: int = 1) -> KrausChannel:
     shared-gap coherence mode it acts as
     rho'_{10} = (1-x) rho_{10} + rho_{32},  rho'_{32} = x rho_{10}.
     e2 fixes the energy-shift tags in grid units."""
-    if not (0.0 < x < 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    x = require_unit_interval(x, "x")
     k0 = np.zeros((4, 4), dtype=complex)
     k0[0, 0] = k0[1, 1] = np.sqrt(1.0 - x)
     k1 = np.zeros((4, 4), dtype=complex)
@@ -458,13 +492,9 @@ def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:
     CPTP exactly whenever G is column stochastic; Gibbs preserving iff G is
     Gibbs stochastic.  Requires strictly increasing energies so each (level,
     gap) pair has at most one partner."""
-    g = G.G if isinstance(G, TransitionMatrix) else np.asarray(G, dtype=float)
+    g = (G if isinstance(G, TransitionMatrix) else TransitionMatrix(G)).G
     if g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
-    if g.min() < -1e-12:
-        raise ValueError("negative transition probability")
-    if np.abs(g.sum(axis=0) - 1.0).max() > COMPLETENESS_TOL:
-        raise ValueError("columns must sum to 1")
     if any(b <= a for a, b in zip(spec.energies, spec.energies[1:])):
         raise ValueError("energies must be strictly increasing")
     level_at = {e: k for k, e in enumerate(spec.energies)}

@@ -4,10 +4,11 @@ Four subcommands: `verify` builds a named channel and certifies its defining
 properties, `cone` samples/exports population cones, `merge` evaluates the
 coherence-merging bounds, `decouple` runs the correlation-erasure witness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON output
-is canonical ({schema, command, config, results}, sorted keys); CSV is a
-flattened projection for plotting.  All randomness is Philox-seeded from
---seed, falling back to THERMOPS_SEED, then 0.
+Exit codes: 0 success, 1 verification failure, 2 usage error, including a
+non-finite or out-of-range flag value.  JSON output is canonical ({schema,
+command, config, results}, sorted keys) and never holds NaN or Infinity;
+CSV is a flattened projection for plotting.  All randomness is
+Philox-seeded from --seed, falling back to THERMOPS_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -40,16 +41,23 @@ from .channels import (
     verify_covariant,
     verify_gibbs_preserving,
 )
-from .core import SystemSpec, gibbs_state
+from .core import (
+    SystemSpec,
+    gibbs_ladder,
+    gibbs_state,
+    require_count,
+    require_distribution,
+    require_finite,
+    require_unit_interval,
+)
 from .cones import (
     ConeApprox,
     cone_dict,
-    cone_export,
     elto_cone_sample,
     hull_margin,
+    inclusion_audit,
     sto_cone_sample,
     support_directions,
-    to_membership_residual,
     to_support,
 )
 
@@ -58,15 +66,19 @@ MEMBERSHIP_TOL = 1e-8  # cone inclusion checks are LP-limited, not config-limite
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
 
 
+def _check_common(args):
+    """The flags every subcommand takes, checked whether or not it uses them."""
+    require_unit_interval(args.q, "--q")
+    require_count(args.truncation, "--truncation", 1)
+    require_finite(args.tol, "--tol", low=0.0)
+    if args.seed is not None:
+        require_count(args.seed, "--seed")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("THERMOPS_SEED", "0"))
-
-
-def _gamma_ladder(d: int, q: float) -> np.ndarray:
-    w = q ** np.arange(d)
-    return w / w.sum()
+    return require_count(int(os.environ.get("THERMOPS_SEED", "0")), "THERMOPS_SEED")
 
 
 def _four_level_test_state(r10: float, r32: float) -> np.ndarray:
@@ -99,9 +111,8 @@ def _certified(ch, spec, gamma, rho, tol, i=1, j=0):
 
 def cmd_verify(args):
     q, n_keep, tol = args.q, args.truncation, args.tol
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
-    x = args.x if args.x is not None else q
+    x = q if args.x is None else require_unit_interval(args.x, "--x")
+    require_finite(args.p00, "--p00")
     config = {"channel": args.channel, "q": q, "truncation": n_keep, "tol": tol}
     details = {}
 
@@ -178,9 +189,7 @@ def _parse_state(text: str) -> np.ndarray:
         raise ValueError(f"state must be comma-separated reals: {exc}") from None
     if vals.size != 3:
         raise ValueError("state must have exactly 3 entries")
-    if vals.min() < -1e-12 or abs(vals.sum() - 1.0) > 1e-9:
-        raise ValueError("state must be a probability vector")
-    return vals
+    return require_distribution(vals, "--state")
 
 
 def _build_to(p, gamma, directions):
@@ -195,90 +204,60 @@ def _build_elto(p, gamma, depth, samples, seed):
 
 
 def _build_sto(p, bath, samples, seed):
-    gamma = _gamma_ladder(3, bath.q)
+    gamma = gibbs_ladder(3, bath.q)
     points, tags = sto_cone_sample(p, bath, bath.truncation + 2, samples, seed)
     return ConeApprox(p=p, gamma=gamma, support=(), points=points, provenance=tuple(tags))
 
 
-def _support_margin(approx_to: ConeApprox, points: np.ndarray) -> float:
-    """min over sampled halfspaces of (support value - max point projection);
-    nonnegative means the cloud sits inside every sampled face."""
-    worst = np.inf
-    for c, value in approx_to.support:
-        worst = min(worst, value - float((points @ c).max()))
-    return float(worst)
-
-
 def _inclusion_summary(to_cone, elto_cone, sto_cone):
-    p, gamma = to_cone.p, to_cone.gamma
-    elto_res = max(to_membership_residual(x, p, gamma) for x in elto_cone.points)
-    sto_res = max(to_membership_residual(x, p, gamma) for x in sto_cone.points)
-    margin = hull_margin(sto_cone.points, elto_cone.points)
-    return {
-        "elto_membership_max_residual": elto_res,
-        "sto_membership_max_residual": sto_res,
-        "sto_in_elto_hull_margin": margin,
-        "elto_support_margin": _support_margin(to_cone, elto_cone.points),
-        "sto_support_margin": _support_margin(to_cone, sto_cone.points),
-        "elto_subset_to": bool(elto_res <= MEMBERSHIP_TOL),
-        "sto_subset_to": bool(sto_res <= MEMBERSHIP_TOL),
-        "sto_subset_elto": bool(margin >= HULL_MARGIN_FLOOR),
-    }
-
-
-def _cone_all_csv(to_cone, elto_cone, sto_cone, summary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["kind", "x0", "x1", "x2", "value", "provenance"])
-    for c, v in to_cone.support:
-        writer.writerow(["to:support", *(repr(float(u)) for u in c), repr(float(v)), "TO-support"])
+    summary = {}
     for name, cone in (("elto", elto_cone), ("sto", sto_cone)):
-        for x, tag in zip(cone.points, cone.provenance):
-            writer.writerow([f"{name}:point", *(repr(float(u)) for u in x), "", tag])
-    for key in sorted(summary):
-        writer.writerow(["summary", "", "", "", repr(float(summary[key])), key])
-    return buf.getvalue()
+        residual, margin = inclusion_audit(to_cone, cone.points)
+        summary[f"{name}_membership_max_residual"] = residual
+        summary[f"{name}_support_margin"] = margin
+        summary[f"{name}_subset_to"] = bool(residual <= MEMBERSHIP_TOL)
+    margin = hull_margin(sto_cone.points, elto_cone.points)
+    summary["sto_in_elto_hull_margin"] = margin
+    summary["sto_subset_elto"] = bool(margin >= HULL_MARGIN_FLOOR)
+    return summary
 
 
 def cmd_cone(args):
     q = args.q
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
     p = _parse_state(args.state)
-    gamma = _gamma_ladder(3, q)
+    samples = require_count(args.samples, "--samples")
+    directions = require_count(args.directions, "--directions", 1)
+    depth = require_count(args.depth, "--depth", 1)
+    gamma = gibbs_ladder(3, q)
     seed = _resolve_seed(args)
     config = {
         "which": args.which,
         "state": list(p),
         "q": q,
         "truncation": args.truncation,
-        "samples": args.samples,
-        "directions": args.directions,
-        "depth": args.depth,
+        "samples": samples,
+        "directions": directions,
+        "depth": depth,
         "seed": seed,
     }
     bath = BathSpec.from_q(q, args.truncation)
     if args.which == "to":
-        cone = _build_to(p, gamma, args.directions)
-        return config, {"to": cone_dict(cone)}, 0, cone_export(cone, "csv")
+        return config, {"to": cone_dict(_build_to(p, gamma, directions))}, 0
     if args.which == "elto":
-        cone = _build_elto(p, gamma, args.depth, args.samples, seed)
-        return config, {"elto": cone_dict(cone)}, 0, cone_export(cone, "csv")
+        return config, {"elto": cone_dict(_build_elto(p, gamma, depth, samples, seed))}, 0
     if args.which == "sto":
-        cone = _build_sto(p, bath, args.samples, seed)
-        return config, {"sto": cone_dict(cone)}, 0, cone_export(cone, "csv")
+        return config, {"sto": cone_dict(_build_sto(p, bath, samples, seed))}, 0
     # all: the three cones plus the sampled inclusion audit
-    to_cone = _build_to(p, gamma, args.directions)
-    elto_cone = _build_elto(p, gamma, args.depth, args.samples, seed)
-    sto_cone = _build_sto(p, bath, args.samples, seed)
-    summary = _inclusion_summary(to_cone, elto_cone, sto_cone)
+    to_cone = _build_to(p, gamma, directions)
+    elto_cone = _build_elto(p, gamma, depth, samples, seed)
+    sto_cone = _build_sto(p, bath, samples, seed)
     results = {
         "to": cone_dict(to_cone),
         "elto": cone_dict(elto_cone),
         "sto": cone_dict(sto_cone),
-        "inclusion": summary,
+        "inclusion": _inclusion_summary(to_cone, elto_cone, sto_cone),
     }
-    return config, results, 0, _cone_all_csv(to_cone, elto_cone, sto_cone, summary)
+    return config, results, 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +330,40 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix, obj))
 
 
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _num(v) -> str:
+    return repr(float(v))
+
+
 def _kv_csv(doc: dict) -> str:
     rows = []
     _flatten("", doc, rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, repr(float(value)) if isinstance(value, float) else value])
-    return buf.getvalue()
+    return _csv(("key", "value"), ((k, _num(v) if isinstance(v, float) else v) for k, v in rows))
+
+
+def _cone_csv(results: dict) -> str:
+    """One row per support value or sampled point of each cone in the
+    results; with several cones each kind carries the cone's name.  The
+    inclusion audit of `cone all` follows as summary rows."""
+    cones = [name for name in ("to", "elto", "sto") if name in results]
+    rows = []
+    for name in cones:
+        kind = f"{name}:" if len(cones) > 1 else ""
+        cone = results[name]
+        for row in cone["support"]:
+            rows.append([kind + "support", *map(_num, row["direction"]), _num(row["value"]), "TO-support"])
+        for row in cone["points"]:
+            rows.append([kind + "point", *map(_num, row["x"]), "", row["provenance"]])
+    summary = results.get("inclusion", {})
+    rows.extend(["summary", "", "", "", _num(summary[key]), key] for key in sorted(summary))
+    return _csv(("kind", "x0", "x1", "x2", "value", "provenance"), rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,29 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"verify": cmd_verify, "cone": cmd_cone, "merge": cmd_merge, "decouple": cmd_decouple}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            config, results, code = cmd_verify(args)
-            cone_csv = None
-        elif args.command == "cone":
-            config, results, code, cone_csv = cmd_cone(args)
-        elif args.command == "merge":
-            config, results, code = cmd_merge(args)
-            cone_csv = None
-        else:
-            config, results, code = cmd_decouple(args)
-            cone_csv = None
+        _check_common(args)
+        config, results, code = COMMANDS[args.command](args)
+        config["format"] = args.format
+        doc = {"schema": SCHEMA, "command": args.command, "config": config, "results": results}
+        # built for CSV too: allow_nan=False is what keeps NaN and Infinity
+        # out of every document
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config["format"] = args.format
-    doc = {"schema": SCHEMA, "command": args.command, "config": config, "results": results}
-    if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        text = cone_csv if cone_csv is not None else _kv_csv(doc)
+    if args.format == "csv":
+        text = _cone_csv(results) if args.command == "cone" else _kv_csv(doc)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

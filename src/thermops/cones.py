@@ -9,16 +9,21 @@ they are explored by sampling and reported as labeled inner approximations.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .core import renyi_divergence
-from .channels import BlockUnitary, random_blocks, sto_population_matrix
+from .core import (
+    NEG_FLOOR,
+    renyi_divergence,
+    require_count,
+    require_distribution,
+    require_finite,
+    require_unit_interval,
+)
+from .channels import damping_blocks, permutation_blocks, random_blocks, sto_population_matrix
 
 tolerance = 1e-9  # default LP feasibility/optimality tolerance
 
@@ -164,19 +169,12 @@ def _gibbs_lp(p, gamma, x=None, objective=None) -> LinearProgram:
     return LinearProgram(c=c, A=np.array(rows), b=np.array(rhs))
 
 
-def _check_distribution(v, name):
-    v = np.asarray(v, dtype=float)
-    if v.min() < -1e-9 or abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a probability vector")
-    return v
-
-
 def to_support(p, gamma, c) -> float:
     """Support value max c.x over the thermal-operation cone of p:
     an LP over Gibbs-stochastic matrices."""
-    p = _check_distribution(p, "p")
-    gamma = _check_distribution(gamma, "gamma")
-    c = np.asarray(c, dtype=float)
+    p = require_distribution(p, "p")
+    gamma = require_distribution(gamma, "gamma")
+    c = require_finite(c, "c")
     d = p.size
     obj = np.zeros(d * d)
     for k_in in range(d):
@@ -190,9 +188,9 @@ def to_support(p, gamma, c) -> float:
 def to_membership_residual(x, p, gamma) -> float:
     """Phase-1 infeasibility of {Gibbs-stochastic g : g p = x}; ~0 iff x is
     reachable from p by a thermal operation."""
-    p = _check_distribution(p, "p")
-    gamma = _check_distribution(gamma, "gamma")
-    x = np.asarray(x, dtype=float)
+    p = require_distribution(p, "p")
+    gamma = require_distribution(gamma, "gamma")
+    x = require_finite(x, "x")
     _, _, residual = _phase1(_gibbs_lp(p, gamma, x=x), tolerance)
     return residual
 
@@ -204,8 +202,8 @@ def to_membership(x, p, gamma, tol: float = tolerance) -> bool:
 def qubit_to_segment(p0: float, q: float):
     """Ground occupations reachable from a qubit with ground occupation p0:
     the closed interval between p0 and the full-exchange image 1 - q*p0."""
-    if not (0.0 <= p0 <= 1.0 and 0.0 < q < 1.0):
-        raise ValueError("need p0 in [0,1], q in (0,1)")
+    p0 = require_finite(p0, "p0", low=0.0, high=1.0)
+    q = require_unit_interval(q, "q")
     ends = (p0, 1.0 - q * p0)
     return (min(ends), max(ends))
 
@@ -232,8 +230,7 @@ def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.nd
         raise ValueError("need gamma_i >= gamma_j (pass the lower level first)")
     ratio = gamma[j] / gamma[i]
     lo = 1.0 - ratio
-    if not (lo - 1e-12 <= a <= 1.0 + 1e-12):
-        raise ValueError(f"a must lie in [{lo}, 1]")
+    a = require_finite(a, "a", low=lo + NEG_FLOOR, high=1.0 - NEG_FLOOR)
     a = min(max(a, lo), 1.0)
     g = np.eye(d)
     g[i, i] = a
@@ -259,12 +256,12 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     exchanges up to the given depth (the corner words).  Random part: n
     sequences of random length <= depth, random pairs, retention drawn
     uniformly from its allowed interval.  Returns (points, provenance)."""
-    p = _check_distribution(p, "p")
-    gamma = _check_distribution(gamma, "gamma")
+    p = require_distribution(p, "p")
+    gamma = require_distribution(gamma, "gamma")
     if p.size != 3:
         raise ValueError("sampler covers qutrits")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = require_count(depth, "depth", 1)
+    n = require_count(n, "n")
     swaps = _beta_swap_matrices(gamma)
     points, tags = [], []
     for length in range(depth + 1):
@@ -288,42 +285,6 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     return np.array(points), tags
 
 
-def _permutation_blocks(d: int, top_shell: int, perm) -> BlockUnitary:
-    """Shell blocks realizing a level permutation: full shells apply it,
-    partial shells stay identity unless the permutation preserves them."""
-    mats = []
-    for j in range(top_shell + 1):
-        size = min(d, j + 1)
-        levels = range(size)
-        m = np.eye(size)
-        if all(perm[k] < size for k in levels):
-            m = np.zeros((size, size))
-            for k in levels:
-                m[perm[k], k] = 1.0
-        mats.append(m)
-    return BlockUnitary(d, tuple(mats))
-
-
-def _damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
-    """Rotation family on one level pair with shell-growing angle: shell j
-    rotates the pair by cos = r^(j/2), mimicking the optimal-damping qubit
-    construction embedded in a larger ladder."""
-    i, j_hi = pair
-    mats = []
-    for j in range(top_shell + 1):
-        size = min(d, j + 1)
-        m = np.eye(size)
-        if i < size and j_hi < size:
-            c = r ** (j / 2.0)
-            s = np.sqrt(max(0.0, 1.0 - r**j))
-            m[i, i] = c
-            m[j_hi, j_hi] = c
-            m[i, j_hi] = s
-            m[j_hi, i] = -s
-        mats.append(m)
-    return BlockUnitary(d, tuple(mats))
-
-
 _QUTRIT_PERMS = ((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
 _STRUCTURED = (
     ("identity", (0, 1, 2)),
@@ -344,15 +305,15 @@ def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):
     pair permutations, both cycles); the n random draws then rotate through
     Haar blocks, random permutations and one-pair damping families.
     Returns (points, provenance)."""
-    p = _check_distribution(p, "p")
+    p = require_distribution(p, "p")
     if p.size != 3:
         raise ValueError("sampler covers qutrits")
-    if top_shell < bath.truncation + 2:
-        raise ValueError("need top_shell >= truncation + 2")
+    top_shell = require_count(top_shell, "top_shell", bath.truncation + 2)
+    n = require_count(n, "n")
     q = bath.q
     points, tags = [], []
     for name, perm in _STRUCTURED:
-        g = sto_population_matrix(_permutation_blocks(3, top_shell, perm), q)
+        g = sto_population_matrix(permutation_blocks(3, top_shell, perm), q)
         points.append(g @ p)
         tags.append(f"STO-structured:{name}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -363,12 +324,12 @@ def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):
             tag = "STO-haar"
         elif kind == 1:
             perm = _QUTRIT_PERMS[int(rng.integers(0, len(_QUTRIT_PERMS)))]
-            blocks = _permutation_blocks(3, top_shell, perm)
+            blocks = permutation_blocks(3, top_shell, perm)
             tag = "STO-permutation"
         else:
             pair = _QUTRIT_PAIRS[int(rng.integers(0, 3))]
             r = float(rng.uniform(0.0, 1.0))
-            blocks = _damping_blocks(3, top_shell, pair, r)
+            blocks = damping_blocks(3, top_shell, pair, r)
             tag = "STO-damping"
         points.append(sto_population_matrix(blocks, q) @ p)
         tags.append(tag)
@@ -400,26 +361,23 @@ class ConeApprox:
         )
 
 
-def check_cone(approx: ConeApprox, tol: float = 1e-8) -> dict:
-    """Invariant audit: every inner point a TO-cone member, no point above
-    any sampled supporting halfspace.  Returns the measured worst cases."""
-    worst_member = 0.0
-    for x in approx.points:
-        worst_member = max(worst_member, to_membership_residual(x, approx.p, approx.gamma))
-    worst_support = -np.inf
-    for c, value in approx.support:
-        if approx.points.size:
-            worst_support = max(worst_support, float((approx.points @ c).max() - value))
-    return {
-        "max_membership_residual": worst_member,
-        "max_support_violation": worst_support if approx.support else None,
-        "ok": worst_member <= tol
-        and (not approx.support or approx.points.size == 0 or worst_support <= tol),
-    }
+def inclusion_audit(outer: ConeApprox, points):
+    """How well a point sample sits inside the TO cone of outer.p.
+
+    Returns (worst LP membership residual, one LP per point; support margin,
+    the minimum over outer's sampled halfspaces of support value minus the
+    largest projection of a point).  A residual near 0 and a nonnegative
+    margin mean every point is inside; both need at least one point and
+    outer needs at least one support sample."""
+    points = np.asarray(points, dtype=float)
+    residual = max(to_membership_residual(x, outer.p, outer.gamma) for x in points)
+    margin = min(value - float((points @ c).max()) for c, value in outer.support)
+    return residual, margin
 
 
 def support_directions(count: int) -> np.ndarray:
     """count unit directions spread evenly around the zero-sum plane."""
+    count = require_count(count, "count", 1)
     angles = 2.0 * np.pi * np.arange(count) / count
     return np.cos(angles)[:, None] * PLANE_U + np.sin(angles)[:, None] * PLANE_V
 
@@ -467,24 +425,6 @@ def cone_dict(approx: ConeApprox) -> dict:
             {"provenance": tag, "x": list(x)} for x, tag in zip(approx.points, approx.provenance)
         ],
     }
-
-
-def cone_export(approx: ConeApprox, fmt: str = "json") -> str:
-    """Serialize one cone approximation.  JSON is canonical and round-trips
-    losslessly; CSV flattens to one row per support direction or point."""
-    if fmt == "json":
-        return json.dumps(cone_dict(approx), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["kind", "x0", "x1", "x2", "value", "provenance"])
-        for c, v in approx.support:
-            row = [repr(float(u)) for u in c]
-            writer.writerow(["support", *row, repr(float(v)), "TO-support"])
-        for x, tag in zip(approx.points, approx.provenance):
-            writer.writerow(["point", *(repr(float(u)) for u in x), "", tag])
-        return buf.getvalue()
-    raise ValueError(f"unsupported format: {fmt}")
 
 
 def cone_from_json(text: str) -> ConeApprox:

@@ -9,6 +9,7 @@ Boltzmann factors are then exact powers of q = exp(-beta * epsilon).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,54 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10  # channels produce eigenvalue dust of this order
+
+# input tolerance policy: float dust above NEG_FLOOR counts as zero, and a
+# probability vector may miss unit mass by NORM_TOL
+NEG_FLOOR = -1e-12
+NORM_TOL = 1e-9
+POSITIVE = math.ulp(0.0)  # low=POSITIVE asks for x > 0
+
+
+def require_finite(x, name: str, low: float = -math.inf, high: float = math.inf):
+    """x as a float (an array stays an array); raises ValueError unless every
+    entry is finite and within [low, high]."""
+    v = np.asarray(x, dtype=float)
+    lo, hi = v.min(), v.max()  # a NaN entry makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi) and low <= lo and hi <= high):
+        raise ValueError(f"{name} must be finite and within [{low}, {high}], got {x}")
+    return float(v) if v.ndim == 0 else v
+
+
+def require_unit_interval(x, name: str) -> float:
+    """x as a float; raises ValueError unless 0 < x < 1."""
+    x = require_finite(x, name)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {x}")
+    return x
+
+
+def require_count(n, name: str, minimum: int = 0) -> int:
+    """n as an int; raises ValueError unless it is a whole number >= minimum."""
+    if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {n}")
+    return int(n)
+
+
+def require_distribution(v, name: str) -> np.ndarray:
+    """v as a float array; raises ValueError unless it is a probability
+    vector: entries >= NEG_FLOOR, sum within NORM_TOL of 1.  Those two bounds
+    leave no room for NaN or +-inf entries."""
+    v = np.asarray(v, dtype=float)
+    if not (v.min() >= NEG_FLOOR and abs(v.sum() - 1.0) <= NORM_TOL):
+        raise ValueError(f"{name} must be a probability vector, got {v}")
+    return v
+
+
+def gibbs_ladder(d: int, q: float) -> np.ndarray:
+    """Gibbs weights q^k / Z of d equally spaced levels, Boltzmann factor q
+    per rung (q = 0 and q = 1 are the zero- and infinite-temperature ends)."""
+    w = require_finite(q, "q", low=0.0, high=1.0) ** np.arange(require_count(d, "d", 1))
+    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -48,16 +97,15 @@ class SystemSpec:
     @classmethod
     def ladder(cls, d: int, spacing: int = 1) -> "SystemSpec":
         """Equally spaced levels 0, spacing, ..., (d-1)*spacing."""
-        if d < 1 or spacing < 1:
-            raise ValueError("need d >= 1 and spacing >= 1")
-        return cls(tuple(spacing * k for k in range(d)))
+        spacing = require_count(spacing, "spacing", 1)
+        return cls(tuple(spacing * k for k in range(require_count(d, "d", 1))))
 
     @classmethod
     def four_level(cls, e1: int, e2: int) -> "SystemSpec":
         """Levels (0, e1, e2, e1+e2): two transition pairs sharing gap e2
         (levels 0-2 and 1-3) and two sharing gap e1 (0-1 and 2-3)."""
-        if not (0 < e1 <= e2):
-            raise ValueError("need 0 < e1 <= e2")
+        e1 = require_count(e1, "e1", 1)
+        e2 = require_count(e2, "e2", e1)
         return cls((0, e1, e2, e1 + e2))
 
 
@@ -78,18 +126,13 @@ class BathSpec:
     epsilon: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be positive and finite")
-        if int(self.epsilon) != self.epsilon or self.epsilon < 1:
-            raise ValueError("epsilon must be a positive integer (grid units)")
-        object.__setattr__(self, "epsilon", int(self.epsilon))
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
+        require_finite(self.beta, "beta", low=POSITIVE)
+        object.__setattr__(self, "epsilon", require_count(self.epsilon, "epsilon", 1))
+        require_count(self.truncation, "truncation", 1)
 
     @classmethod
     def from_q(cls, q: float, truncation: int, epsilon: int = 1) -> "BathSpec":
-        if not (0.0 < q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
+        q = require_unit_interval(q, "q")
         return cls(beta=-math.log(q) / epsilon, truncation=truncation, epsilon=epsilon)
 
     @property
@@ -99,8 +142,7 @@ class BathSpec:
     def gibbs_weights(self) -> np.ndarray:
         """Occupation weights q^n of the kept Fock levels, renormalized to
         sum to 1."""
-        w = self.q ** np.arange(self.truncation + 1)
-        return w / w.sum()
+        return gibbs_ladder(self.truncation + 1, self.q)
 
 
 class DensityMatrix:
@@ -165,11 +207,8 @@ def _as_matrix(rho) -> np.ndarray:
 
 def gibbs_state(spec: SystemSpec, beta: float) -> DensityMatrix:
     """Thermal state diag(exp(-beta*E_k))/Z of the given level structure."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError("beta must be positive and finite")
+    beta = require_finite(beta, "beta", low=POSITIVE)
     w = np.exp(-beta * np.asarray(spec.energies, dtype=float))
-    if not np.all(np.isfinite(w)):
-        raise ValueError("beta*energy overflow")
     return DensityMatrix.diagonal(w / w.sum())
 
 
@@ -208,14 +247,12 @@ def renyi_divergence(p, g, alpha) -> float:
     Negative orders diverge to +inf when p has a zero entry; any p > 0
     sitting on g == 0 gives +inf at every order.
     """
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(g, dtype=float)
+    p = require_distribution(p, "p")
+    g = require_distribution(g, "g")
     if p.shape != g.shape:
         raise ValueError("shape mismatch")
-    if np.any(p < -1e-12) or np.any(g < -1e-12):
-        raise ValueError("negative entries")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(g.sum() - 1.0) > 1e-9:
-        raise ValueError("inputs must be normalized distributions")
+    if math.isnan(alpha):
+        raise ValueError("order alpha must not be NaN")
     sup = p > 0
     if np.any(sup & (g <= 0)):
         return math.inf

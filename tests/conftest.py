@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from thermops.core import gibbs_ladder
+
 
 @pytest.fixture
 def rng():
@@ -13,11 +15,6 @@ def fig_state():
     return np.array([0.8, 0.16, 0.04])
 
 
-def gamma_ladder(d, q):
-    w = q ** np.arange(d)
-    return w / w.sum()
-
-
 @pytest.fixture
 def qutrit_gamma():
-    return gamma_ladder(3, 0.5)
+    return gibbs_ladder(3, 0.5)

@@ -5,6 +5,7 @@ from thermops.core import (
     BathSpec,
     DensityMatrix,
     SystemSpec,
+    gibbs_ladder,
     gibbs_state,
     mode_decompose,
 )
@@ -37,8 +38,7 @@ N_KEEP = 20
 
 
 def ladder_gamma(d, q):
-    w = q ** np.arange(d)
-    return DensityMatrix.diagonal(w / w.sum())
+    return DensityMatrix.diagonal(gibbs_ladder(d, q))
 
 
 def random_test_state(rng, d):

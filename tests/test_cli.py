@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermops.cli import main
 
@@ -248,3 +252,76 @@ class TestConsole:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["results"]["pass"] is False
+
+
+BAD_INPUT_RUNS = [
+    "cone to --state nan,0.5,0.5",
+    "cone to --state inf,0,0",
+    "decouple --p 0.5 --a nan --b 0.1",
+    "decouple --p 0.5 --a 0.1 --b inf",
+    "merge --r10 inf --r32 0.1 --x 0.5",
+    "merge --overlap --a inf --b 0.1",
+    "cone sto --samples -5",
+    "cone elto --samples -3 --depth 1",
+    "cone all --directions 0",
+    "cone to --directions -3",
+    "verify beta-swap --tol nan",
+    "verify beta-swap --tol -1",
+]
+
+
+def assert_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:")
+    assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("run", BAD_INPUT_RUNS)
+def test_bad_input_exits_2(run, fmt):
+    assert_usage_error([*run.split(), "--format", fmt])
+
+
+# each numeric flag, in a command that writes it into the document's config
+SMALL = ["--directions", "3", "--samples", "2", "--depth", "1", "--truncation", "2"]
+FLOAT_FLAGS = [
+    (["verify", "beta-swap"], "--q"),
+    (["verify", "beta-swap"], "--tol"),
+    (["verify", "optimal-qubit"], "--p00"),
+    (["verify", "sim-beta-swap"], "--x"),
+    (["cone", "all", *SMALL], "--q"),
+    (["merge", "--r32", "0.1", "--x", "0.5"], "--r10"),
+    (["merge", "--r10", "0.1", "--x", "0.5"], "--r32"),
+    (["merge", "--r10", "0.1", "--r32", "0.1"], "--x"),
+    (["merge", "--overlap", "--b", "0.1"], "--a"),
+    (["merge", "--overlap", "--a", "0.1"], "--b"),
+    (["merge", "--overlap", "--a", "0.1", "--b", "0.1"], "--q"),
+    (["decouple", "--a", "0.1", "--b", "0.3"], "--p"),
+    (["decouple", "--p", "0.8", "--b", "0.3"], "--a"),
+    (["decouple", "--p", "0.8", "--a", "0.1"], "--b"),
+]
+COUNT_FLAGS = [
+    (["verify", "beta-swap"], "--truncation"),
+    (["verify", "beta-swap"], "--seed"),
+    *((["cone", which, *SMALL], flag) for which in ("to", "elto", "sto", "all")
+      for flag in ("--samples", "--directions", "--depth", "--truncation", "--seed")),
+    (["merge", "--r10", "0.1", "--r32", "0.1", "--x", "0.5"], "--seed"),
+    (["decouple", "--p", "0.8", "--a", "0.1", "--b", "0.3"], "--truncation"),
+]
+
+
+BAD_VALUES = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])),
+    st.tuples(st.sampled_from(COUNT_FLAGS), st.integers(max_value=-1).map(str)),
+)
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=BAD_VALUES, fmt=st.sampled_from(["json", "csv"]))
+def test_non_finite_floats_and_negative_counts_exit_2(case, fmt):
+    (base, flag), value = case
+    assert_usage_error([*base, f"{flag}={value}", "--format", fmt])

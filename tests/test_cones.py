@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from thermops.core import BathSpec
 from thermops.channels import random_blocks, sto_population_matrix
+from thermops.cli import _cone_csv
 from thermops.cones import (
     ConeApprox,
     LinearProgram,
-    check_cone,
-    cone_export,
+    cone_dict,
     cone_from_json,
     elto_cone_sample,
     hull_margin,
+    inclusion_audit,
     qubit_cto_check,
     qubit_to_segment,
     solve_lp,
@@ -85,6 +87,20 @@ class TestSupportAndMembership:
         assert to_membership(fig_state, fig_state, qutrit_gamma)
         assert to_membership(qutrit_gamma, fig_state, qutrit_gamma)
         assert not to_membership(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]), qutrit_gamma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_raise(self, fig_state, qutrit_gamma, bad):
+        with pytest.raises(ValueError):
+            to_membership_residual(np.array([bad, 0.5, 0.5]), fig_state, qutrit_gamma)
+        with pytest.raises(ValueError):
+            to_membership_residual(fig_state, np.array([bad, 0.5, 0.5]), qutrit_gamma)
+        with pytest.raises(ValueError):
+            to_support(fig_state, qutrit_gamma, np.array([bad, 0.0, 0.0]))
+
+    def test_support_directions_need_one(self):
+        assert support_directions(1).shape == (1, 3)
+        with pytest.raises(ValueError):
+            support_directions(0)
 
     def test_membership_residual_scales(self, fig_state, qutrit_gamma):
         assert to_membership_residual(fig_state, fig_state, qutrit_gamma) <= 1e-12
@@ -203,6 +219,8 @@ class TestEltoSample:
             elto_cone_sample(np.array([0.5, 0.5]), qutrit_gamma[:2] / qutrit_gamma[:2].sum(), 2, 1, 0)
         with pytest.raises(ValueError):
             elto_cone_sample(np.array([0.5, 0.3, 0.2]), qutrit_gamma, 0, 1, 0)
+        with pytest.raises(ValueError):
+            elto_cone_sample(np.array([0.5, 0.3, 0.2]), qutrit_gamma, 2, -1, 0)
 
 
 class TestStoSample:
@@ -242,6 +260,8 @@ class TestStoSample:
             sto_cone_sample(fig_state, self.bath, top_shell=11, n=1, seed=0)
         with pytest.raises(ValueError):
             sto_cone_sample(np.ones(4) / 4, self.bath, top_shell=12, n=1, seed=0)
+        with pytest.raises(ValueError):
+            sto_cone_sample(fig_state, self.bath, top_shell=12, n=-5, seed=0)
 
 
 class TestHullMargin:
@@ -279,13 +299,13 @@ class TestConeApprox:
         )
         return ConeApprox(fig_state, qutrit_gamma, support, points, tuple(tags))
 
-    def test_check_cone_ok(self, fig_state, qutrit_gamma):
-        report = check_cone(self.build(fig_state, qutrit_gamma))
-        assert report["ok"]
-        assert report["max_membership_residual"] <= 1e-8
-        assert report["max_support_violation"] <= 1e-8
+    def test_inclusion_audit_ok(self, fig_state, qutrit_gamma):
+        approx = self.build(fig_state, qutrit_gamma)
+        residual, margin = inclusion_audit(approx, approx.points)
+        assert residual <= 1e-8
+        assert margin >= -1e-8
 
-    def test_check_cone_flags_outsider(self, fig_state, qutrit_gamma):
+    def test_inclusion_audit_flags_outsider(self, fig_state, qutrit_gamma):
         approx = self.build(fig_state, qutrit_gamma)
         bad = ConeApprox(
             fig_state,
@@ -294,9 +314,9 @@ class TestConeApprox:
             np.vstack([approx.points, [1.0, 0.0, 0.0]]),
             approx.provenance + ("intruder",),
         )
-        report = check_cone(bad)
-        assert not report["ok"]
-        assert report["max_membership_residual"] > 1e-8
+        residual, margin = inclusion_audit(bad, bad.points)
+        assert residual > 1e-8
+        assert margin < -1e-8
 
     def test_provenance_length_validation(self, fig_state, qutrit_gamma):
         with pytest.raises(ValueError):
@@ -304,9 +324,7 @@ class TestConeApprox:
 
     def test_json_round_trip(self, fig_state, qutrit_gamma):
         approx = self.build(fig_state, qutrit_gamma)
-        text = cone_export(approx, "json")
-        assert text.endswith("\n")
-        back = cone_from_json(text)
+        back = cone_from_json(json.dumps(cone_dict(approx)))
         assert np.allclose(back.p, approx.p)
         assert np.allclose(back.gamma, approx.gamma)
         assert np.allclose(back.points, approx.points)
@@ -318,13 +336,9 @@ class TestConeApprox:
 
     def test_csv_shape(self, fig_state, qutrit_gamma):
         approx = self.build(fig_state, qutrit_gamma, n=2)
-        text = cone_export(approx, "csv")
+        text = _cone_csv({"to": cone_dict(approx)})
         lines = text.split("\r\n")
         assert lines[0] == "kind,x0,x1,x2,value,provenance"
         assert sum(ln.startswith("support,") for ln in lines) == 24
         assert sum(ln.startswith("point,") for ln in lines) == approx.points.shape[0]
         assert "np.float64" not in text
-
-    def test_bad_format_raises(self, fig_state, qutrit_gamma):
-        with pytest.raises(ValueError):
-            cone_export(self.build(fig_state, qutrit_gamma), "yaml")

@@ -9,10 +9,15 @@ from thermops.core import (
     BathSpec,
     DensityMatrix,
     SystemSpec,
+    gibbs_ladder,
     gibbs_state,
     mode_decompose,
     populations,
     renyi_divergence,
+    require_count,
+    require_distribution,
+    require_finite,
+    require_unit_interval,
     time_translate,
     trace_distance,
 )
@@ -67,6 +72,10 @@ class TestSpecs:
             BathSpec.from_q(0.5, 0)
         with pytest.raises(ValueError):
             BathSpec(beta=-1.0, truncation=10)
+        with pytest.raises(ValueError):
+            BathSpec(beta=math.nan, truncation=10)
+        with pytest.raises(ValueError):
+            BathSpec.from_q(math.nan, 10)
 
 
 class TestDensityMatrix:
@@ -92,6 +101,50 @@ class TestDensityMatrix:
             rho.mat[0, 0] = 2.0
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 2.0])
+    def test_finite_with_bounds(self, bad):
+        assert require_finite(0.5, "x", low=0.0, high=1.0) == 0.5
+        with pytest.raises(ValueError):
+            require_finite(bad, "x", low=0.0, high=1.0)
+        with pytest.raises(ValueError):
+            require_finite([0.5, bad], "x", low=0.0, high=1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, math.inf])
+    def test_unit_interval(self, bad):
+        assert require_unit_interval(0.25, "q") == 0.25
+        with pytest.raises(ValueError):
+            require_unit_interval(bad, "q")
+
+    @pytest.mark.parametrize("bad", [-1, 0.5, math.nan, math.inf, "3"])
+    def test_count(self, bad):
+        assert require_count(np.int64(3), "n") == 3
+        assert require_count(2.0, "n", 1) == 2
+        with pytest.raises(ValueError):
+            require_count(bad, "n")
+        with pytest.raises(ValueError):
+            require_count(0, "n", 1)
+
+    @pytest.mark.parametrize(
+        "bad", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [0.5, 0.6, -0.1], [0.5, 0.5, 1e-8]]
+    )
+    def test_distribution(self, bad):
+        # float dust within the policy passes
+        assert require_distribution([0.5, 0.5 + 5e-10, -5e-13], "p").shape == (3,)
+        with pytest.raises(ValueError):
+            require_distribution(bad, "p")
+
+    def test_gibbs_ladder(self):
+        assert gibbs_ladder(3, 0.5) == pytest.approx(np.array([4.0, 2.0, 1.0]) / 7.0, abs=1e-15)
+        assert list(gibbs_ladder(3, 0.0)) == [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            gibbs_ladder(3, math.nan)
+        with pytest.raises(ValueError):
+            gibbs_ladder(3, 1.5)
+        with pytest.raises(ValueError):
+            gibbs_ladder(0, 0.5)
+
+
 def test_gibbs_state_matches_weights():
     spec = SystemSpec.four_level(1, 3)
     beta = math.log(2.0)
@@ -100,6 +153,8 @@ def test_gibbs_state_matches_weights():
     assert populations(g) == pytest.approx(w / w.sum(), abs=1e-15)
     with pytest.raises(ValueError):
         gibbs_state(spec, -0.1)
+    with pytest.raises(ValueError):
+        gibbs_state(spec, math.inf)
 
 
 def test_gibbs_state_is_free_evolution_fixed_point():
@@ -202,6 +257,12 @@ class TestRenyi:
             renyi_divergence([0.5, 0.6], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError):
             renyi_divergence([0.5, 0.5], [0.5, -0.5], 1.0)
+        with pytest.raises(ValueError):
+            renyi_divergence([math.nan, 0.5, 0.5], [0.4, 0.3, 0.3], 2.0)
+        with pytest.raises(ValueError):
+            renyi_divergence([0.5, 0.5], [math.inf, 0.5], 2.0)
+        with pytest.raises(ValueError):
+            renyi_divergence([0.5, 0.5], [0.4, 0.6], math.nan)
 
     @given(
         st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
