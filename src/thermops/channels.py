@@ -8,6 +8,13 @@ operators labeled by the mode transition n -> m; such a Kraus operator moves
 every system level up by s = n - m rungs, so it carries a single energy-shift
 tag and the channel is automatically covariant under free evolution.
 
+A tagged channel depends only on the per-shift Gram matrix
+sum_K vec(K) vec(K)^dagger.  The assemblers (`sto_channel`,
+`shell_sto_channel`, tagged `KrausChannel.compose`) return its canonical
+form: one Gram eigendecomposition per shift, one operator per eigenvector,
+so a d-level channel carries at most d^2 Kraus operators whatever the
+truncation.
+
 The mode's Gibbs weights are renormalized over the kept Fock levels, which
 makes every assembled channel exactly trace preserving; the truncation shows
 up only as an O(q^(N+1)) Gibbs-preservation error.  All reachable output
@@ -39,7 +46,7 @@ PRUNE_TOL = 1e-14  # drop Kraus operators below this Frobenius norm
 
 def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> float:
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"block is not unitary (deviation {dev:.2e})")
     return float(dev)
 
@@ -149,7 +156,7 @@ class KrausChannel:
             object.__setattr__(self, "shifts", sh)
         object.__setattr__(self, "kraus", ks)
         dev = self.completeness_deviation
-        if dev > COMPLETENESS_TOL:
+        if not dev <= COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated (deviation {dev:.2e})")
 
     @property
@@ -169,18 +176,19 @@ class KrausChannel:
         return out
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
-        """self after other (self o other)."""
+        """self after other (self o other).
+
+        When both are tagged, product a @ b carries shift sa + sb and the
+        result is reduced to the canonical form: one Gram eigendecomposition
+        per shift, at most dim^2 operators.  Otherwise every product above
+        PRUNE_TOL is kept, untagged."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        ks, sh = [], []
-        tagged = self.shifts is not None and other.shifts is not None
-        for a, sa in zip(self.kraus, self.shifts or [0] * len(self.kraus)):
-            for b, sb in zip(other.kraus, other.shifts or [0] * len(other.kraus)):
-                k = a @ b
-                if np.linalg.norm(k) > PRUNE_TOL:
-                    ks.append(k)
-                    sh.append(sa + sb)
-        return KrausChannel(tuple(ks), tuple(sh) if tagged else None)
+        ks = [a @ b for a in self.kraus for b in other.kraus]
+        if self.shifts is not None and other.shifts is not None:
+            sh = [sa + sb for sa in self.shifts for sb in other.shifts]
+            return KrausChannel(*_canonical_kraus(ks, sh))
+        return KrausChannel(tuple(k for k in ks if np.linalg.norm(k) > PRUNE_TOL))
 
     def choi(self) -> np.ndarray:
         """Choi matrix in the row-major |i><j| basis; trace equals dim."""
@@ -190,6 +198,33 @@ class KrausChannel:
             v = k.reshape(-1)
             c += np.outer(v, v.conj())
         return c
+
+
+def _canonical_kraus(kraus, shifts):
+    """Fewest Kraus operators of the same tagged channel, tags kept.
+
+    Per shift tag (ascending), the operators' entries on their joint nonzero
+    support are the rows of V.  G = V^T V* is that tag's share of the Choi
+    matrix, so each eigenpair (lam, w) of G yields the operator sqrt(lam) w
+    (w itself: conj(w) would give the conjugate channel).  Eigenpairs whose
+    operator norm sqrt(lam) is below PRUNE_TOL are dropped.  A covariant
+    channel gives disjoint supports per tag, hence at most d^2 operators."""
+    flat = np.asarray(kraus, dtype=complex)
+    dim = flat.shape[1]
+    flat = flat.reshape(len(flat), -1)
+    tags = np.asarray(shifts)
+    out, out_shifts = [], []
+    for s in np.unique(tags):
+        v = flat[tags == s]
+        support = np.flatnonzero(np.any(v != 0, axis=0))
+        v = v[:, support]
+        lam, w = np.linalg.eigh(v.T @ v.conj())
+        for i in np.flatnonzero(lam > PRUNE_TOL**2)[::-1]:
+            k = np.zeros(dim * dim, dtype=complex)
+            k[support] = np.sqrt(lam[i]) * w[:, i]
+            out.append(k.reshape(dim, dim))
+            out_shifts.append(int(s))
+    return tuple(out), tuple(out_shifts)
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
@@ -263,25 +298,17 @@ def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> Kraus
     Kraus operator K_{m,n} = sqrt(gamma_n) <m| U |n> collects the amplitude
     for the mode to go n -> m; it shifts every system level by s = n - m.
     Input Fock levels run over the kept range n <= N; every reachable output
-    level m <= n + d - 1 is kept, so sum K'K = 1 holds exactly.
+    level m <= n + d - 1 is kept, so sum K'K = 1 holds exactly.  The
+    operators K_{m,n} are returned in canonical form: one Gram
+    eigendecomposition per shift, at most d^2 operators.
     """
     _require_resonant_ladder(blocks, spec, bath)
-    d, n_keep = spec.d, bath.truncation
-    weights = bath.gibbs_weights()
-    kraus, shifts = [], []
-    for n in range(n_keep + 1):
-        for m in range(max(0, n - d + 1), n + d):
-            s = n - m
-            k = np.zeros((d, d), dtype=complex)
-            for c in range(d):
-                i = c + s
-                if 0 <= i < d:
-                    k[i, c] = blocks.blocks[c + n][i, c]
-            k *= np.sqrt(weights[n])
-            if np.linalg.norm(k) > PRUNE_TOL:
-                kraus.append(k)
-                shifts.append(s * bath.epsilon)
-    return KrausChannel(tuple(kraus), tuple(shifts))
+    d = spec.d
+    a = a_vectors(blocks, bath).A  # K_{m,n}[i, c] = a[i, c, n] where i - c = n - m
+    shifts = np.arange(1 - d, d)
+    on_shift = np.subtract.outer(np.arange(d), np.arange(d)) == shifts[:, None, None]
+    kraus = (a.transpose(2, 0, 1)[:, None] * on_shift).reshape(-1, d, d)
+    return KrausChannel(*_canonical_kraus(kraus, np.tile(shifts, a.shape[2]) * bath.epsilon))
 
 
 @dataclass(frozen=True)
@@ -301,7 +328,7 @@ class AVectors:
         if a.ndim != 3 or a.shape[0] != a.shape[1]:
             raise ValueError("expected array of shape (d, d, N+1)")
         norm_dev = np.abs((np.abs(a) ** 2).sum(axis=(0, 2)) - 1.0).max()
-        if norm_dev > 1e-10:
+        if not norm_dev <= 1e-10:
             raise ValueError(f"columns must carry unit weight (deviation {norm_dev:.2e})")
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
@@ -417,7 +444,10 @@ def _enumerate_shells(spec: SystemSpec, bath: BathSpec):
 def shell_sto_channel(spec: SystemSpec, bath: BathSpec, block_for_shell) -> KrausChannel:
     """Assemble a channel for an arbitrary integer-grid system coupled to
     the mode.  block_for_shell(energy, states) must return a unitary matrix
-    over the given joint states (ordered as passed)."""
+    over the given joint states (ordered as passed).
+
+    The per-transition operators K_{m,n} are returned in canonical form:
+    one Gram eigendecomposition per shift, at most d^2 operators."""
     d, n_keep = spec.d, bath.truncation
     weights = bath.gibbs_weights()
     by_mn = {}
@@ -434,13 +464,9 @@ def shell_sto_channel(spec: SystemSpec, bath: BathSpec, block_for_shell) -> Krau
                     continue
                 k = by_mn.setdefault((n_out, n_in), np.zeros((d, d), dtype=complex))
                 k[k_out, k_in] += b[row, col]
-    kraus, shifts = [], []
-    for (m, n), k in sorted(by_mn.items()):
-        k = k * np.sqrt(weights[n])
-        if np.linalg.norm(k) > PRUNE_TOL:
-            kraus.append(k)
-            shifts.append((n - m) * bath.epsilon)
-    return KrausChannel(tuple(kraus), tuple(shifts))
+    kraus = [np.sqrt(weights[n]) * k for (m, n), k in by_mn.items()]
+    shifts = [(n - m) * bath.epsilon for m, n in by_mn]
+    return KrausChannel(*_canonical_kraus(kraus, shifts))
 
 
 def simultaneous_beta_swap_sto(bath: BathSpec):

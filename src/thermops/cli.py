@@ -61,7 +61,7 @@ from .cones import (
     to_support,
 )
 
-SCHEMA = "thermops/1"
+SCHEMA = "thermops/2"
 MEMBERSHIP_TOL = 1e-8  # cone inclusion checks are LP-limited, not config-limited
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
 

@@ -11,6 +11,7 @@ from thermops.core import (
 )
 from thermops.channels import (
     AVectors,
+    _enumerate_shells,
     BlockUnitary,
     KrausChannel,
     TransitionMatrix,
@@ -69,6 +70,8 @@ def test_block_unitary_validation():
         BlockUnitary(2, (np.eye(2),))  # shell 0 must be 1x1
     with pytest.raises(ValueError):
         BlockUnitary(2, (np.eye(1), np.array([[1.0, 0.0], [1.0, 1.0]])))
+    with pytest.raises(ValueError):
+        BlockUnitary(2, (np.full((1, 1), np.nan), np.full((2, 2), np.nan)))
     bu = identity_blocks(3, 7)
     assert bu.top_shell == 7
     assert bu.blocks[5].shape == (3, 3)
@@ -78,6 +81,8 @@ def test_block_unitary_validation():
 def test_kraus_validation():
     with pytest.raises(ValueError):
         KrausChannel((np.eye(2) * 0.5,))
+    with pytest.raises(ValueError):
+        KrausChannel((np.full((2, 2), np.nan),))
     with pytest.raises(ValueError):
         KrausChannel((np.eye(2), np.eye(2)), shifts=(0,))
     ch = KrausChannel((np.eye(2),), shifts=(0,))
@@ -189,6 +194,8 @@ def test_a_vectors_consistent_with_channel(rng):
         a_vectors(identity_blocks(3, 10), bath)  # needs shells up to 17
     with pytest.raises(ValueError):
         AVectors(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        AVectors(np.full((2, 2, 3), np.nan))
 
 
 def test_channel_composition_closure(rng):
@@ -202,6 +209,59 @@ def test_channel_composition_closure(rng):
     assert verify_covariant(both, spec, 1e-9).passed
     limit = 2 * 3.0 * 0.5 ** (N_KEEP + 1) / 0.5
     assert verify_gibbs_preserving(both, gamma, limit).passed
+
+
+def raw_shell_channel(spec, bath, block_for_shell):
+    """One Kraus operator per mode transition n -> m, never compressed."""
+    weights, by_mn = bath.gibbs_weights(), {}
+    for energy, states in _enumerate_shells(spec, bath):
+        b = block_for_shell(energy, states)
+        for col, (k_in, n_in) in enumerate(states):
+            for row, (k_out, n_out) in enumerate(states):
+                if n_in <= bath.truncation:
+                    k = by_mn.setdefault((n_out, n_in), np.zeros((spec.d, spec.d), dtype=complex))
+                    k[k_out, k_in] += np.sqrt(weights[n_in]) * b[row, col]
+    return KrausChannel(tuple(by_mn.values()), tuple((n - m) * bath.epsilon for m, n in by_mn))
+
+
+def assert_same_channel(canonical, raw, rng):
+    d = raw.dim
+    rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert choi_distance(canonical, raw) <= 1e-13
+    assert np.abs(canonical.apply(rho) - raw.apply(rho)).max() <= 1e-13
+    assert len(canonical.kraus) <= d * d
+    assert set(canonical.shifts) == {s for k, s in zip(raw.kraus, raw.shifts) if k.any()}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sto_channel_matches_raw_kraus(d, rng):
+    bath = BathSpec.from_q(0.5, N_KEEP)
+    blocks = random_blocks(d, N_KEEP + d - 1, rng)
+    spec = SystemSpec.ladder(d)
+    # on a unit-spaced ladder the shell at energy j is shell block j
+    raw = raw_shell_channel(spec, bath, lambda energy, states: blocks.blocks[energy])
+    assert_same_channel(sto_channel(blocks, spec, bath), raw, rng)
+
+
+def test_shell_sto_channel_matches_raw_kraus(rng):
+    spec = SystemSpec.four_level(1, 3)
+    bath = BathSpec.from_q(0.5, N_KEEP, epsilon=3)
+    table = {e: haar_stack(rng, 1, len(st))[0] for e, st in _enumerate_shells(spec, bath)}
+    raw = raw_shell_channel(spec, bath, lambda energy, states: table[energy])
+    assert_same_channel(shell_sto_channel(spec, bath, lambda energy, states: table[energy]), raw, rng)
+
+
+def test_compose_matches_raw_kraus(rng):
+    """Raw factors, so a conjugating compose cannot hide behind a
+    conjugating assembler."""
+    bath = BathSpec.from_q(0.5, 10)
+    spec = SystemSpec.ladder(3)
+    blocks = [random_blocks(3, 12, rng) for _ in range(2)]
+    a, b = (raw_shell_channel(spec, bath, lambda e, st, bu=bu: bu.blocks[e]) for bu in blocks)
+    raw = KrausChannel(
+        tuple(x @ y for x in a.kraus for y in b.kraus), tuple(sx + sy for sx in a.shifts for sy in b.shifts)
+    )
+    assert_same_channel(a.compose(b), raw, rng)
 
 
 def test_mode_independence(rng):

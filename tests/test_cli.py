@@ -21,7 +21,7 @@ class TestVerify:
     def test_sim_beta_swap_passes(self, capsys):
         code, doc = run_json(capsys, ["verify", "sim-beta-swap"])
         assert code == 0
-        assert doc["schema"] == "thermops/1"
+        assert doc["schema"] == "thermops/2"
         assert doc["command"] == "verify"
         assert doc["config"]["channel"] == "sim-beta-swap"
         res = doc["results"]
@@ -180,7 +180,7 @@ class TestOutputPlumbing:
         assert code == 0
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "thermops/1"
+        assert doc["schema"] == "thermops/2"
 
     def test_seed_env_fallback_matches_flag(self, capsys, tmp_path, monkeypatch):
         flagged = tmp_path / "flagged.json"
@@ -217,7 +217,7 @@ class TestOutputPlumbing:
         lines = out.split("\r\n")
         assert lines[0] == "key,value"
         rows = dict(ln.split(",", 1) for ln in lines[1:] if ln)
-        assert rows["schema"] == "thermops/1"
+        assert rows["schema"] == "thermops/2"
         assert rows["results.down.strategy"] == "simultaneous-beta-swap"
         assert float(rows["results.down.bound"]) == pytest.approx(0.25)
 
