@@ -56,7 +56,6 @@ from .cones import (
     hull_margin,
     qubit_cto_check,
     qubit_to_segment,
-    solve_lp,
     sto_cone_sample,
     to_membership,
     to_support,

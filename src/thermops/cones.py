@@ -1,10 +1,15 @@
 """Population-dynamics cones.
 
-The set of populations reachable from p by thermal operations is the image
-of p under all Gibbs-stochastic matrices: an LP-representable polytope, so
-membership and support values are exact up to solver tolerance.  The
-single-mode and two-level restrictions have no such exact description here;
-they are explored by sampling and reported as labeled inner approximations.
+The set of populations reachable from p by thermal operations (TO) is the
+image of p under all Gibbs-stochastic matrices.  For diagonal states it has
+a closed form (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)): x is
+reachable iff p's thermo-majorization curve lies on or above x's.  The
+curve of v plots cumulative population against cumulative Gibbs weight,
+levels taken in decreasing order of v_i / gamma_i; it is concave.  The
+cone's vertices are the d! tight points, one per level order, so
+membership and support values are exact up to rounding.  The single-mode
+and two-level restrictions have no such exact description here; they are
+explored by sampling and reported as labeled inner approximations.
 """
 
 from __future__ import annotations
@@ -21,178 +26,69 @@ from .core import (
     require_count,
     require_distribution,
     require_finite,
+    require_length,
     require_unit_interval,
 )
 from .channels import damping_blocks, permutation_blocks, random_blocks, sto_population_matrix
 
-tolerance = 1e-9  # default LP feasibility/optimality tolerance
+tolerance = 1e-9  # default membership allowance for curve gaps and divergences
 
 # orthonormal basis of the zero-sum plane, for 2-D projections of qutrit simplex data
 PLANE_U = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 PLANE_V = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """max c.x subject to A x = b, x >= 0."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.shape != (b.size, c.size):
-            raise ValueError("inconsistent LP dimensions")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
+def _curve(v, gamma):
+    """v's thermo-majorization curve: cumulative Gibbs weight and cumulative
+    population from the origin, levels in decreasing order of v_i / gamma_i
+    (a level of zero Gibbs weight comes first)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = (-(v / gamma)).argsort(kind="stable")
+    return _from_origin(gamma[order]), _from_origin(v[order])
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" or "infeasible"
-    value: float
-    x: np.ndarray
-    residual: float  # phase-1 infeasibility measure
+def _from_origin(steps):
+    return np.concatenate(([0.0], steps)).cumsum()
 
 
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
-    basis[row] = col
+def _curve_at(t, p, gamma):
+    """p's curve L_p at the cumulative Gibbs weights t (right limit at t = 0)."""
+    return np.interp(t, *_curve(p, gamma))
 
 
-def _simplex(tab, basis, n_vars, tol):
-    """Minimize the objective in the last tableau row over the first n_vars
-    columns.  Bland's rule on both choices, so cycling cannot occur."""
-    while True:
-        col = -1
-        for j in range(n_vars):
-            if tab[-1, j] < -tol:
-                col = j
-                break
-        if col < 0:
-            return
-        row, best, best_basis = -1, np.inf, np.inf
-        for r in range(tab.shape[0] - 1):
-            if tab[r, col] > tol:
-                ratio = tab[r, -1] / tab[r, col]
-                if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and basis[r] < best_basis):
-                    row, best, best_basis = r, ratio, basis[r]
-        if row < 0:
-            raise RuntimeError("LP unbounded; the polytopes here are bounded, so this is a bug")
-        _pivot(tab, basis, row, col)
-
-
-def _phase1(lp: LinearProgram, tol):
-    """Feasibility tableau: returns (tableau, basis, residual).  The
-    residual is the optimal artificial mass, ~0 iff the system is feasible."""
-    a, b = lp.A.copy(), lp.b.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    m, n = a.shape
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    basis = list(range(n, n + m))
-    tab[-1, :n] = -a.sum(axis=0)  # reduced costs of min(sum of artificials)
-    tab[-1, -1] = -b.sum()
-    _simplex(tab, basis, n, tol)
-    return tab, basis, float(-tab[-1, -1])
-
-
-def solve_lp(lp: LinearProgram, tol: float = tolerance) -> LPResult:
-    tab, basis, residual = _phase1(lp, tol)
-    n = lp.c.size
-    m = lp.A.shape[0]
-    if residual > tol:
-        return LPResult(status="infeasible", value=np.nan, x=np.empty(0), residual=residual)
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep = []
-    for r in range(m):
-        if basis[r] >= n:
-            piv = next((j for j in range(n) if abs(tab[r, j]) > tol), None)
-            if piv is None:
-                continue  # redundant constraint row
-            _pivot(tab, basis, r, piv)
-        keep.append(r)
-    rows = keep + [m]
-    tab = tab[np.ix_(rows, list(range(n)) + [n + m])]
-    basis = [basis[r] for r in keep]
-    # phase 2: minimize -c.x
-    tab[-1, :] = 0.0
-    tab[-1, :n] = -lp.c
-    for r, bv in enumerate(basis):
-        if tab[-1, bv] != 0.0:
-            tab[-1] -= tab[-1, bv] * tab[r]
-    _simplex(tab, basis, n, tol)
-    x = np.zeros(n)
-    for r, bv in enumerate(basis):
-        x[bv] = tab[r, -1]
-    return LPResult(status="optimal", value=float(lp.c @ x), x=x, residual=residual)
-
-
-def _gibbs_lp(p, gamma, x=None, objective=None) -> LinearProgram:
-    """Constraints for a Gibbs-stochastic matrix g (variables g[k_in*d+k_out]):
-    columns sum to 1, gamma is fixed, and optionally g p = x."""
-    p = np.asarray(p, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+def _require_cone_inputs(p, gamma, v, name):
+    p = require_distribution(p, "p")
     d = p.size
-    rows, rhs = [], []
-    for k_in in range(d):
-        row = np.zeros(d * d)
-        row[k_in * d : (k_in + 1) * d] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for k_out in range(d):
-        row = np.zeros(d * d)
-        for k_in in range(d):
-            row[k_in * d + k_out] = gamma[k_in]
-        rows.append(row)
-        rhs.append(gamma[k_out])
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        for k_out in range(d):
-            row = np.zeros(d * d)
-            for k_in in range(d):
-                row[k_in * d + k_out] = p[k_in]
-            rows.append(row)
-            rhs.append(x[k_out])
-    c = np.zeros(d * d) if objective is None else objective
-    return LinearProgram(c=c, A=np.array(rows), b=np.array(rhs))
+    require_length(p, "p", d)  # a vector, not a matrix
+    gamma = require_length(require_distribution(gamma, "gamma"), "gamma", d)
+    return p, gamma, require_length(require_finite(v, name), name, d)
 
 
 def to_support(p, gamma, c) -> float:
-    """Support value max c.x over the thermal-operation cone of p:
-    an LP over Gibbs-stochastic matrices."""
-    p = require_distribution(p, "p")
-    gamma = require_distribution(gamma, "gamma")
-    c = require_finite(c, "c")
-    d = p.size
-    obj = np.zeros(d * d)
-    for k_in in range(d):
-        obj[k_in * d : (k_in + 1) * d] = c * p[k_in]
-    res = solve_lp(_gibbs_lp(p, gamma, objective=obj))
-    if res.status != "optimal":
-        raise RuntimeError("support LP infeasible; identity matrix should always be feasible")
-    return res.value
+    """Support value max c.x over the thermal-operation cone of p.
+
+    The cone is the base polytope of the submodular set function
+    S -> L_p(gamma(S)), so Edmonds' greedy rule finds the maximizing vertex
+    among the d! tight points: take the levels in decreasing order of c, and
+    give the k-th level L_p(Gamma_k) - L_p(Gamma_(k-1)), where Gamma_k is
+    the Gibbs weight of the first k levels.  O(d log d) for any d."""
+    p, gamma, c = _require_cone_inputs(p, gamma, c, "c")
+    order = (-c).argsort(kind="stable")
+    levels = _curve_at(_from_origin(gamma[order]), p, gamma)
+    levels[0] = 0.0  # the empty set holds no mass, even where L_p jumps at 0
+    return float(c[order] @ (levels[1:] - levels[:-1]))
 
 
 def to_membership_residual(x, p, gamma) -> float:
-    """Phase-1 infeasibility of {Gibbs-stochastic g : g p = x}; ~0 iff x is
-    reachable from p by a thermal operation."""
-    p = require_distribution(p, "p")
-    gamma = require_distribution(gamma, "gamma")
-    x = require_finite(x, "x")
-    _, _, residual = _phase1(_gibbs_lp(p, gamma, x=x), tolerance)
-    return residual
+    """Curve gap of x against the thermal-operation cone of p: the largest
+    excess of x's thermo-majorization curve over p's, taken at x's elbows
+    (p's curve is concave, so the elbows suffice), plus |sum(x) - 1| and the
+    negative mass of x.  It is >= 0, and 0 up to rounding iff x is reachable
+    from p by a thermal operation."""
+    p, gamma, x = _require_cone_inputs(p, gamma, x, "x")
+    weight, mass = _curve(x, gamma)
+    gap = max(0.0, float((mass[1:] - _curve_at(weight[1:], p, gamma)).max()))
+    return gap + abs(float(x.sum()) - 1.0) - float(x[x < 0.0].sum())
 
 
 def to_membership(x, p, gamma, tol: float = tolerance) -> bool:
@@ -364,11 +260,11 @@ class ConeApprox:
 def inclusion_audit(outer: ConeApprox, points):
     """How well a point sample sits inside the TO cone of outer.p.
 
-    Returns (worst LP membership residual, one LP per point; support margin,
-    the minimum over outer's sampled halfspaces of support value minus the
-    largest projection of a point).  A residual near 0 and a nonnegative
-    margin mean every point is inside; both need at least one point and
-    outer needs at least one support sample."""
+    Returns (worst membership residual, the largest curve gap over the
+    points; support margin, the minimum over outer's sampled halfspaces of
+    support value minus the largest projection of a point).  A residual
+    near 0 and a nonnegative margin mean every point is inside; both need
+    at least one point and outer needs at least one support sample."""
     points = np.asarray(points, dtype=float)
     residual = max(to_membership_residual(x, outer.p, outer.gamma) for x in points)
     margin = min(value - float((points @ c).max()) for c, value in outer.support)
@@ -387,13 +283,32 @@ def plane_coordinates(points) -> np.ndarray:
     return np.column_stack([pts @ PLANE_U, pts @ PLANE_V])
 
 
+def _hull_vertices(points) -> np.ndarray:
+    """Convex hull vertices of 2-D points, counter-clockwise (Andrew's
+    monotone chain); points on an edge are dropped."""
+    pts = sorted(map(tuple, points.tolist()))
+
+    def half(seq):
+        chain = []
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain[:-1]
+
+    return np.array(half(pts) + half(pts[::-1]))
+
+
 def hull_margin(inner_points, outer_points) -> float:
     """Worst-case inclusion depth of the inner sample inside the convex hull
-    of the outer sample, measured in the zero-sum plane.  Positive: strictly
-    inside; negative: some inner point sticks out by that distance.
-    Degenerate outer hulls (segment or point) are handled directly."""
-    from scipy.spatial import ConvexHull
-
+    of the outer sample, measured in the zero-sum plane: the minimum over
+    inner points of each point's signed distance to its nearest facet.
+    Positive: every point strictly inside; negative: some inner point
+    sticks out by that distance.  Degenerate outer hulls (segment or point)
+    are handled directly."""
     inner = plane_coordinates(inner_points)
     outer = plane_coordinates(outer_points)
     center = outer.mean(axis=0)
@@ -410,9 +325,12 @@ def hull_margin(inner_points, outer_points) -> float:
         perp = np.linalg.norm((inner - center) - np.outer(ti, axis), axis=1)
         depth = np.minimum(ti - t.min(), t.max() - ti) - perp
         return float(depth.min())
-    hull = ConvexHull(outer)
-    signed = inner @ hull.equations[:, :2].T + hull.equations[:, 2]
-    return float(-signed.max(axis=1).min())
+    hull = _hull_vertices(outer)
+    edges = np.roll(hull, -1, axis=0) - hull
+    # outward unit normals of the counter-clockwise edges
+    normals = np.column_stack((edges[:, 1], -edges[:, 0])) / np.linalg.norm(edges, axis=1)[:, None]
+    signed = inner @ normals.T - (normals * hull).sum(axis=1)
+    return float(-signed.max())
 
 
 def cone_dict(approx: ConeApprox) -> dict:

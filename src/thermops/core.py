@@ -60,6 +60,13 @@ def require_distribution(v, name: str) -> np.ndarray:
     return v
 
 
+def require_length(v, name: str, size: int) -> np.ndarray:
+    """v unchanged; raises ValueError unless it is a vector of size entries."""
+    if np.shape(v) != (size,):
+        raise ValueError(f"{name} must be a vector of {size} entries, got shape {np.shape(v)}")
+    return v
+
+
 def gibbs_ladder(d: int, q: float) -> np.ndarray:
     """Gibbs weights q^k / Z of d equally spaced levels, Boltzmann factor q
     per rung (q = 0 and q = 1 are the zero- and infinite-temperature ends)."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lp_oracle import lp_membership_residual
 from thermops.core import BathSpec, SystemSpec, gibbs_state
 from thermops.channels import (
     BlockUnitary,
@@ -401,9 +402,10 @@ def test_06_qubit_reachability_grid(capsys):
     for t in np.linspace(0.0, 1.0, 101):
         target = np.array([t, 1.0 - t])
         in_segment = lo - 1e-12 <= t <= hi + 1e-12
-        lp = to_membership(target, p, gamma)
+        curve = to_membership(target, p, gamma)
+        lp = lp_membership_residual(target, p, gamma) <= 1e-9
         cto = qubit_cto_check(p, target, gamma)
-        agreements += lp == in_segment == cto
+        agreements += curve == lp == in_segment == cto
     bath = BathSpec.from_q(q, 40)
     spec = SystemSpec.ladder(2)
     swap = transition_matrix(sto_channel(beta_swap_qubit(bath), spec, bath)).G
@@ -425,14 +427,18 @@ def test_07_cone_inclusions(capsys):
     elto_pts, _ = elto_cone_sample(p, gamma, depth=6, n=10_000 - 1093, seed=61)
     bath = BathSpec.from_q(q, 20)
     sto_pts, _ = sto_cone_sample(p, bath, top_shell=22, n=10_000 - 6, seed=62)
-    worst_elto = max(to_membership_residual(x, p, gamma) for x in elto_pts)
-    worst_sto = max(to_membership_residual(x, p, gamma) for x in sto_pts)
+    n_elto = len(elto_pts)
+    points = np.vstack([elto_pts, sto_pts])
+    curve = np.array([to_membership_residual(x, p, gamma) for x in points])
+    lp = np.array([lp_membership_residual(x, p, gamma) for x in points])
     margin = hull_margin(sto_pts, elto_pts)
-    ok = worst_elto <= 1e-8 and worst_sto <= 1e-8 and margin >= -1e-9
+    ok = curve.max() <= 1e-8 and lp.max() <= 1e-8 and margin >= -1e-9
     announce(
         capsys, 7, "cone-inclusions", ok,
-        f"membership residuals {worst_elto:.1e} (contact sequences), "
-        f"{worst_sto:.1e} (mode channels); hull inclusion margin {margin:.4f}",
+        f"curve gaps {curve[:n_elto].max():.1e} (contact sequences), "
+        f"{curve[n_elto:].max():.1e} (mode channels); LP residuals "
+        f"{lp[:n_elto].max():.1e}, {lp[n_elto:].max():.1e}; "
+        f"hull inclusion margin {margin:.1e}",
     )
     assert ok
 

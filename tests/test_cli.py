@@ -21,7 +21,7 @@ class TestVerify:
     def test_sim_beta_swap_passes(self, capsys):
         code, doc = run_json(capsys, ["verify", "sim-beta-swap"])
         assert code == 0
-        assert doc["schema"] == "thermops/2"
+        assert doc["schema"] == "thermops/3"
         assert doc["command"] == "verify"
         assert doc["config"]["channel"] == "sim-beta-swap"
         res = doc["results"]
@@ -180,7 +180,7 @@ class TestOutputPlumbing:
         assert code == 0
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "thermops/2"
+        assert doc["schema"] == "thermops/3"
 
     def test_seed_env_fallback_matches_flag(self, capsys, tmp_path, monkeypatch):
         flagged = tmp_path / "flagged.json"
@@ -217,7 +217,7 @@ class TestOutputPlumbing:
         lines = out.split("\r\n")
         assert lines[0] == "key,value"
         rows = dict(ln.split(",", 1) for ln in lines[1:] if ln)
-        assert rows["schema"] == "thermops/2"
+        assert rows["schema"] == "thermops/3"
         assert rows["results.down.strategy"] == "simultaneous-beta-swap"
         assert float(rows["results.down.bound"]) == pytest.approx(0.25)
 
@@ -232,6 +232,20 @@ class TestConsole:
         assert proc.returncode == 0
         for name in ("verify", "cone", "merge", "decouple"):
             assert name in proc.stdout
+
+    def test_cone_all_imports_no_scipy(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-X", "importtime", "-m", "thermops",
+                "cone", "all", "--samples", "6", "--directions", "8", "--depth", "2",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "thermops.cones" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

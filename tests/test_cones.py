@@ -1,17 +1,19 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermops.core import BathSpec
+from lp_oracle import LinearProgram, lp_membership_residual, lp_support, solve_lp
+from thermops.core import BathSpec, gibbs_ladder
 from thermops.channels import random_blocks, sto_population_matrix
 from thermops.cli import _cone_csv
 from thermops.cones import (
     ConeApprox,
-    LinearProgram,
+    _hull_vertices,
     cone_dict,
     cone_from_json,
     elto_cone_sample,
@@ -19,7 +21,6 @@ from thermops.cones import (
     inclusion_audit,
     qubit_cto_check,
     qubit_to_segment,
-    solve_lp,
     sto_cone_sample,
     support_directions,
     to_membership,
@@ -106,6 +107,10 @@ class TestSupportAndMembership:
         assert to_membership_residual(fig_state, fig_state, qutrit_gamma) <= 1e-12
         r = to_membership_residual(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]), qutrit_gamma)
         assert r > 0.01
+        # the curve of a scaled-down point stays below p's; its mass deficit counts
+        short = 0.9 * fig_state
+        assert to_membership_residual(short, fig_state, qutrit_gamma) == pytest.approx(0.1, abs=1e-15)
+        assert lp_membership_residual(short, fig_state, qutrit_gamma) > 1e-8
 
     def test_images_of_ideal_channels_are_members(self, fig_state, qutrit_gamma, rng):
         for _ in range(5):
@@ -114,6 +119,21 @@ class TestSupportAndMembership:
             assert to_membership(x, fig_state, qutrit_gamma)
             for c in support_directions(12):
                 assert to_support(fig_state, qutrit_gamma, c) >= float(c @ x) - 1e-9
+
+    @pytest.mark.parametrize(
+        "name, value", [("x", gibbs_ladder(2, 0.5)), ("gamma", gibbs_ladder(2, 0.5)), ("p", [[0.8, 0.16, 0.04]])]
+    )
+    def test_membership_length_mismatch_raises(self, fig_state, qutrit_gamma, name, value):
+        args = {"x": fig_state, "p": fig_state, "gamma": qutrit_gamma, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a vector of 3 entries"):
+            to_membership_residual(**args)
+
+    @pytest.mark.parametrize("name", ["gamma", "c"])
+    def test_support_length_mismatch_raises(self, fig_state, qutrit_gamma, name):
+        args = {"p": fig_state, "gamma": qutrit_gamma, "c": np.ones(3)}
+        args[name] = gibbs_ladder(2, 0.5)
+        with pytest.raises(ValueError, match=f"^{name} must be a vector of 3 entries"):
+            to_support(**args)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -126,6 +146,68 @@ class TestSupportAndMembership:
         c1, c2 = np.array(c1), np.array(c2)
         h = lambda c: to_support(p, gamma, c)
         assert h(c1 + c2) <= h(c1) + h(c2) + 1e-9
+
+
+def curve_value(p, gamma, t):
+    """L_p(t) from the dual of its fractional knapsack, min over the slopes s
+    of s t + sum((p - s gamma)_+): no level ordering involved."""
+    return min(s * t + np.maximum(p - s * gamma, 0.0).sum() for s in np.append(p / gamma, 0.0))
+
+
+def vertex_support(p, gamma, c):
+    """max of c.v over all d! tight points, v_pi(k) = L_p(Gamma_k) - L_p(Gamma_(k-1))."""
+    best = -math.inf
+    for perm in map(list, permutations(range(p.size))):
+        levels = [0.0] + [curve_value(p, gamma, t) for t in np.cumsum(gamma[perm])]
+        v = np.empty(p.size)
+        v[perm] = np.diff(levels)
+        best = max(best, float(c @ v))
+    return best
+
+
+class TestClosedFormAgainstLP:
+    """The curve formulas against the two-phase simplex oracle, which shares
+    no code with them: the same verdict at 1e-8 on every point, and support
+    values equal up to rounding."""
+
+    @staticmethod
+    def verdicts(points, p, gamma):
+        curve = np.array([to_membership_residual(x, p, gamma) for x in points]) <= 1e-8
+        lp = np.array([lp_membership_residual(x, p, gamma) for x in points]) <= 1e-8
+        assert np.array_equal(curve, lp)
+        return curve
+
+    def test_dirichlet_points(self, fig_state, qutrit_gamma, rng):
+        inside = self.verdicts(rng.dirichlet(np.ones(3), 1000), fig_state, qutrit_gamma)
+        assert 0 < inside.sum() < inside.size
+
+    def test_qubit_grid(self):
+        targets = np.column_stack([np.linspace(0.0, 1.0, 101), np.linspace(1.0, 0.0, 101)])
+        inside = self.verdicts(targets, np.array([0.8, 0.2]), gibbs_ladder(2, 0.5))
+        assert 0 < inside.sum() < inside.size
+
+    def test_four_level_points(self, rng):
+        gamma = gibbs_ladder(4, 0.6)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(4))
+            images = [sto_population_matrix(random_blocks(4, 13, rng), 0.6) @ p for _ in range(3)]
+            assert self.verdicts(images, p, gamma).all()
+            self.verdicts(rng.dirichlet(np.ones(4), 10), p, gamma)
+            for c in rng.standard_normal((5, 4)):
+                assert to_support(p, gamma, c) == pytest.approx(lp_support(p, gamma, c), abs=1e-14)
+
+    def test_zero_gibbs_weight_level(self, rng):
+        gamma = np.array([0.6, 0.4, 0.0])
+        for p in (np.array([0.5, 0.3, 0.2]), np.array([0.3, 0.7, 0.0])):
+            self.verdicts(rng.dirichlet(np.ones(3), 100), p, gamma)
+            for c in rng.standard_normal((10, 3)):
+                assert to_support(p, gamma, c) == pytest.approx(lp_support(p, gamma, c), abs=1e-15)
+
+    def test_support_over_360_directions(self, fig_state, qutrit_gamma):
+        for c in support_directions(360):
+            value = to_support(fig_state, qutrit_gamma, c)
+            assert abs(value - lp_support(fig_state, qutrit_gamma, c)) <= 1e-15
+            assert abs(value - vertex_support(fig_state, qutrit_gamma, c)) <= 1e-15
 
 
 class TestQubitSegment:
@@ -289,6 +371,31 @@ class TestHullMargin:
         outer = np.array([[0.5, 0.3, 0.2]])
         assert abs(hull_margin(outer, outer)) <= 1e-12
         assert hull_margin(np.array([[0.2, 0.3, 0.5]]), outer) < -0.1
+
+
+    # one inside and one outside point per branch: the outside point rules
+    def test_worst_point_rules_full_hull(self):
+        inner = np.array([[1.0, 1.0, 1.0], [4.5, -0.75, -0.75]]) / 3.0
+        assert hull_margin(inner, self.corners) == pytest.approx(-0.75 / math.sqrt(6.0), abs=1e-12)
+
+    def test_worst_point_rules_segment(self):
+        outer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        inner = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        expected = 1.0 / math.sqrt(2.0) - math.sqrt(1.5)
+        assert hull_margin(inner, outer) == pytest.approx(expected, abs=1e-12)
+
+    def test_worst_point_rules_single_point(self):
+        outer = np.array([[0.5, 0.3, 0.2]])
+        inner = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+        assert hull_margin(inner, outer) == pytest.approx(-math.sqrt(0.18), abs=1e-12)
+
+    def test_hull_vertices_match_scipy(self, rng):
+        spatial = pytest.importorskip("scipy.spatial")
+        pts = rng.standard_normal((300, 2))
+        hull = _hull_vertices(pts)
+        assert sorted(map(tuple, hull)) == sorted(map(tuple, pts[spatial.ConvexHull(pts).vertices]))
+        x, y = hull.T
+        assert (x * np.roll(y, -1) - np.roll(x, -1) * y).sum() > 0.0  # counter-clockwise
 
 
 class TestConeApprox:
