@@ -8,6 +8,13 @@ operators labeled by the mode transition n -> m; such a Kraus operator moves
 every system level up by s = n - m rungs, so it carries a single energy-shift
 tag and the channel is automatically covariant under free evolution.
 
+A `BlockUnitary` keeps its shell blocks in one read-only, zero-padded
+(shells, d, d) `stack`, checked for unitarity once for the whole stack.
+The readers slice it once per input level k: shells k, k+1, ... hold the
+column of |k, n> for n = 0, 1, ..., so `a_vectors` and
+`sto_population_matrix` take `stack[k:, :, k]` instead of looping over
+shells.
+
 A tagged channel depends only on the per-shift Gram matrix
 sum_K vec(K) vec(K)^dagger.  The assemblers (`sto_channel`,
 `shell_sto_channel`, tagged `KrausChannel.compose`) return its canonical
@@ -23,7 +30,8 @@ Fock levels are kept (up to N + d - 1), never clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from .core import (
     _as_matrix,
     require_count,
     require_finite,
+    require_levels,
     require_unit_interval,
     trace_distance,
 )
@@ -44,11 +53,19 @@ COMPLETENESS_TOL = 1e-10
 PRUNE_TOL = 1e-14  # drop Kraus operators below this Frobenius norm
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> float:
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+def _check_unitary(u: np.ndarray, identity: np.ndarray, tol: float = UNITARY_TOL):
+    """Raises ValueError unless max |u^dagger u - identity|, over a matrix or
+    a stack of them, is at most tol (NaN fails; an empty stack passes)."""
+    dev = np.abs(np.einsum("...ki,...kl->...il", u.conj(), u) - identity).max(initial=0.0)
     if not dev <= tol:
         raise ValueError(f"block is not unitary (deviation {dev:.2e})")
-    return float(dev)
+
+
+def _shell_views(stack: np.ndarray) -> tuple:
+    """The per-shell blocks of a zero-padded (shells, d, d) stack, as views:
+    shell j keeps its leading min(d, j+1) rows and columns."""
+    d = stack.shape[1]
+    return tuple(stack[j, : j + 1, : j + 1] for j in range(min(len(stack), d - 1))) + tuple(stack[d - 1 :])
 
 
 @dataclass(frozen=True)
@@ -56,20 +73,36 @@ class BlockUnitary:
     """Shell blocks of an energy-conserving joint unitary on a d-level
     ladder plus one resonant mode.  blocks[j] acts on shell j (total energy
     j quanta) and has dimension min(d, j+1); row/column k corresponds to the
-    joint basis state |k, j-k>."""
+    joint basis state |k, j-k>.
+
+    `stack` holds every block in one read-only complex array of shape
+    (shells, d, d), zero-padded below and right of partial shells; `blocks`
+    are views into it.  Unitarity is checked once over the whole stack:
+    stack[j]^dagger stack[j] must be the identity on shell j's min(d, j+1)
+    levels, to UNITARY_TOL."""
 
     d: int
     blocks: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_count(self.d, "d", 1)
+        d = require_count(self.d, "d", 1)
         blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
+        stack = np.zeros((len(blocks), d, d), dtype=complex)
         for j, b in enumerate(blocks):
-            want = min(self.d, j + 1)
+            want = min(d, j + 1)
             if b.shape != (want, want):
                 raise ValueError(f"shell {j} block must be {want}x{want}, got {b.shape}")
-            _check_unitary(b)
-        object.__setattr__(self, "blocks", blocks)
+            if want < d:
+                stack[j, :want, :want] = b
+        if len(blocks) >= d:
+            stack[d - 1 :] = blocks[d - 1 :]
+        in_shell = np.arange(d) <= np.arange(len(blocks))[:, None]  # level k lies in shell j
+        _check_unitary(stack, np.eye(d) * in_shell[:, None])
+        stack.flags.writeable = False
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "blocks", _shell_views(stack))
 
     @property
     def top_shell(self) -> int:
@@ -79,37 +112,31 @@ class BlockUnitary:
 def permutation_blocks(d: int, top_shell: int, perm) -> BlockUnitary:
     """Shell blocks realizing a level permutation: full shells apply it,
     partial shells stay identity unless the permutation preserves them."""
-    mats = []
-    for j in range(top_shell + 1):
-        size = min(d, j + 1)
-        levels = range(size)
-        m = np.eye(size)
-        if all(perm[k] < size for k in levels):
-            m = np.zeros((size, size))
-            for k in levels:
-                m[perm[k], k] = 1.0
-        mats.append(m)
-    return BlockUnitary(d, tuple(mats))
+    d = require_count(d, "d", 1)
+    top_shell = require_count(top_shell, "top_shell")
+    perm = require_levels(perm, "perm", d, d)
+    full = np.eye(d, dtype=complex)[:, perm]  # column k holds a 1 in row perm[k]
+    partial = tuple(full[:s, :s] if max(perm[:s]) < s else np.eye(s) for s in range(1, d))
+    return BlockUnitary(d, partial[: top_shell + 1] + (full,) * (top_shell + 2 - d))
 
 
 def damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
     """Rotation family on one level pair with shell-growing angle: shell j
     rotates the pair by cos = r^(j/2), mimicking the optimal-damping qubit
-    construction embedded in a larger ladder."""
-    i, j_hi = pair
-    mats = []
-    for j in range(top_shell + 1):
-        size = min(d, j + 1)
-        m = np.eye(size)
-        if i < size and j_hi < size:
-            c = r ** (j / 2.0)
-            s = np.sqrt(max(0.0, 1.0 - r**j))
-            m[i, i] = c
-            m[j_hi, j_hi] = c
-            m[i, j_hi] = s
-            m[j_hi, i] = -s
-        mats.append(m)
-    return BlockUnitary(d, tuple(mats))
+    construction embedded in a larger ladder.  Shells too small to hold
+    both levels stay identity."""
+    d = require_count(d, "d", 1)
+    shells = require_count(top_shell, "top_shell") + 1
+    i, k = require_levels(pair, "pair", d, 2)
+    r = require_finite(r, "r", low=0.0, high=1.0)
+    c = np.array([r ** (j / 2.0) for j in range(shells)])
+    s = np.array([math.sqrt(max(0.0, 1.0 - r**j)) for j in range(shells)])
+    turn = np.arange(shells) >= max(i, k)
+    stack = np.tile(np.eye(d, dtype=complex), (shells, 1, 1))
+    stack[turn, i, i] = stack[turn, k, k] = c[turn]
+    stack[turn, i, k] = s[turn]
+    stack[turn, k, i] = -s[turn]
+    return BlockUnitary(d, _shell_views(stack))
 
 
 def identity_blocks(d: int, top_shell: int) -> BlockUnitary:
@@ -125,11 +152,10 @@ def haar_stack(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
 
 
 def random_blocks(d: int, top_shell: int, rng: np.random.Generator) -> BlockUnitary:
-    """Independent Haar-random shell blocks."""
-    blocks = []
-    for j in range(top_shell + 1):
-        blocks.append(haar_stack(rng, 1, min(d, j + 1))[0])
-    return BlockUnitary(d, tuple(blocks))
+    """Independent Haar-random shell blocks, one `haar_stack` draw per shell."""
+    d = require_count(d, "d", 1)
+    top_shell = require_count(top_shell, "top_shell")
+    return BlockUnitary(d, tuple(haar_stack(rng, 1, min(d, j + 1))[0] for j in range(top_shell + 1)))
 
 
 @dataclass(frozen=True)
@@ -349,13 +375,10 @@ def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> AVectors:
     d, n_keep = blocks.d, bath.truncation
     if blocks.top_shell < n_keep + d - 1:
         raise ValueError("blocks must cover all populated shells")
-    weights = bath.gibbs_weights()
+    amp = np.sqrt(bath.gibbs_weights())[:, None]
     a = np.zeros((d, d, n_keep + 1), dtype=complex)
     for k_in in range(d):
-        for n in range(n_keep + 1):
-            blk = blocks.blocks[k_in + n]
-            rows = min(d, k_in + n + 1)
-            a[:rows, k_in, n] = np.sqrt(weights[n]) * blk[:rows, k_in]
+        a[:, k_in, :] = (amp * blocks.stack[k_in : k_in + n_keep + 1, :, k_in]).T
     return AVectors(a)
 
 
@@ -455,7 +478,7 @@ def shell_sto_channel(spec: SystemSpec, bath: BathSpec, block_for_shell) -> Krau
         b = np.asarray(block_for_shell(energy, states), dtype=complex)
         if b.shape != (len(states), len(states)):
             raise ValueError(f"shell at energy {energy} needs a {len(states)}-dim block")
-        _check_unitary(b)
+        _check_unitary(b, np.eye(len(states)))
         for col, (k_in, n_in) in enumerate(states):
             if n_in > n_keep:
                 continue
@@ -496,17 +519,21 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     blocks follow `blocks` up to the top shell and are identity above.
 
     Exactly Gibbs stochastic (column k: geometric weights over shells plus
-    the identity tail q^(top-k+1)); useful where membership tolerances are
-    tighter than any finite truncation error."""
+    the identity tail q^max(0, top-k+1)); useful where membership
+    tolerances are tighter than any finite truncation error.  q must be
+    finite and within [0, 1], as in `gibbs_ladder`."""
+    q = require_finite(q, "q", low=0.0, high=1.0)
     d, top = blocks.d, blocks.top_shell
+    weights = np.array([(1.0 - q) * q**n for n in range(top + 1)])
+    probs = np.abs(blocks.stack) ** 2
     g = np.zeros((d, d))
     for k in range(d):
-        for n in range(top - k + 1):
-            blk = blocks.blocks[k + n]
-            w = (1.0 - q) * q**n
-            rows = min(d, k + n + 1)
-            g[:rows, k] += w * np.abs(blk[:rows, k]) ** 2
-        g[k, k] += q ** (top - k + 1)
+        shells = max(0, top - k + 1)  # shells k..top hold input level k
+        if shells:
+            # cumsum adds the shells in order, like a running +=; a sum may
+            # pair them up (it does for d = 1) and change the last bits
+            g[:, k] = np.cumsum(weights[:shells, None] * probs[k:, :, k], axis=0)[-1]
+        g[k, k] += q**shells
     return g
 
 

@@ -50,6 +50,18 @@ def require_count(n, name: str, minimum: int = 0) -> int:
     return int(n)
 
 
+def require_levels(v, name: str, d: int, count: int) -> tuple:
+    """v as a tuple of ints; raises ValueError unless it holds count distinct
+    levels of range(d).  count == d asks for a permutation of range(d)."""
+    levels = tuple(v) if np.ndim(v) == 1 else ()
+    ok = len(levels) == count and all(
+        isinstance(k, numbers.Real) and math.isfinite(k) and k == int(k) and 0 <= k < d for k in levels
+    )
+    if not (ok and len(set(levels)) == count):
+        raise ValueError(f"{name} must be {count} distinct levels of range({d}), got {v}")
+    return tuple(int(k) for k in levels)
+
+
 def require_distribution(v, name: str) -> np.ndarray:
     """v as a float array; raises ValueError unless it is a probability
     vector: entries >= NEG_FLOOR, sum within NORM_TOL of 1.  Those two bounds

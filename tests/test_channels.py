@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shell_oracle import loop_a_vectors, loop_damping_blocks, loop_permutation_blocks, loop_population_matrix
 from thermops.core import (
     BathSpec,
     DensityMatrix,
@@ -20,9 +21,11 @@ from thermops.channels import (
     choi_distance,
     coherence_transfer,
     cptp_deviation,
+    damping_blocks,
     exto_optimal_channel,
     haar_stack,
     identity_blocks,
+    permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
     shell_sto_channel,
@@ -65,7 +68,7 @@ def test_haar_stack_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_block_unitary_validation():
+def test_block_unitary_validation(rng):
     with pytest.raises(ValueError):
         BlockUnitary(2, (np.eye(2),))  # shell 0 must be 1x1
     with pytest.raises(ValueError):
@@ -76,6 +79,59 @@ def test_block_unitary_validation():
     assert bu.top_shell == 7
     assert bu.blocks[5].shape == (3, 3)
     assert bu.blocks[1].shape == (2, 2)
+
+    # one stacked check covers partial shells, deep full shells and NaN
+    good = list(random_blocks(3, 40, rng).blocks)
+    partial = list(good)
+    partial[1] = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])  # shell 1 of 3 levels holds 2
+    deep = list(good)
+    deep[30] = good[30] @ np.diag([1.0, 1.0, 1.0 + 1e-9])
+    nan = list(good)
+    nan[30] = np.full((3, 3), np.nan)
+    for blocks in (partial, deep, nan):
+        with pytest.raises(ValueError, match="not unitary"):
+            BlockUnitary(3, tuple(blocks))
+    ragged = list(good)
+    ragged[30] = np.eye(2)
+    with pytest.raises(ValueError, match="shell 30 block must be 3x3"):
+        BlockUnitary(3, tuple(ragged))
+
+
+def test_block_unitary_stack(rng):
+    bu = random_blocks(3, 6, rng)
+    assert bu.stack.shape == (7, 3, 3) and bu.stack.dtype == complex
+    for j, blk in enumerate(bu.blocks):
+        size = blk.shape[0]
+        assert np.array_equal(bu.stack[j, :size, :size], blk)
+        assert not bu.stack[j, size:].any() and not bu.stack[j, :, size:].any()
+    with pytest.raises(ValueError):
+        bu.stack[3, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        bu.blocks[3][0, 0] = 2.0  # the blocks are views into the stack
+
+    empty = BlockUnitary(3, ())
+    assert empty.top_shell == -1 and empty.stack.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("perm", lambda: permutation_blocks(3, 5, (1, 0))),
+        ("perm", lambda: permutation_blocks(2, 5, (1, 0, 2))),
+        ("perm", lambda: permutation_blocks(3, 5, (0, 0, 1))),
+        ("top_shell", lambda: permutation_blocks(3, -1, (0, 1, 2))),
+        ("pair", lambda: damping_blocks(3, 5, (0, 7), 0.5)),
+        ("pair", lambda: damping_blocks(3, 5, (1, 1), 0.5)),
+        ("r", lambda: damping_blocks(3, 5, (0, 1), -0.5)),
+        ("r", lambda: damping_blocks(3, 5, (0, 1), 1.5)),
+        ("r", lambda: damping_blocks(3, 5, (0, 1), np.nan)),
+        ("top_shell", lambda: random_blocks(3, -1, np.random.Generator(np.random.Philox(1)))),
+        ("d", lambda: random_blocks(0, 5, np.random.Generator(np.random.Philox(1)))),
+    ],
+)
+def test_block_family_input_checks(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build()
 
 
 def test_kraus_validation():
@@ -390,6 +446,68 @@ def test_sto_population_matrix_exactly_gibbs(rng):
         gamma = q ** np.arange(d)
         gamma /= gamma.sum()
         assert np.abs(g @ gamma - gamma).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+def test_sto_population_matrix_validates_q(bad):
+    with pytest.raises(ValueError, match="q must"):
+        sto_population_matrix(identity_blocks(3, 5), bad)
+    for q in (0.0, 1.0):  # the zero- and infinite-temperature ends
+        assert np.array_equal(sto_population_matrix(identity_blocks(3, 5), q), np.eye(3))
+
+
+def test_sto_population_matrix_tail_below_full_shells(rng):
+    # shells above the top are identity, so an input level above the top
+    # shell stays put with probability 1
+    g = sto_population_matrix(random_blocks(4, 0, rng), 0.5)
+    assert np.abs(g - np.eye(4)).max() <= 1e-15
+    assert np.array_equal(g[:, 1:], np.eye(4)[:, 1:])
+    g = sto_population_matrix(random_blocks(4, 1, rng), 0.5)
+    assert np.abs(g.sum(axis=0) - 1.0).max() <= 1e-15
+    assert np.array_equal(g[:, 2:], np.eye(4)[:, 2:])
+
+
+# ---------------------------------------------------------------------------
+# stacked readers against the shell-by-shell reference (bit for bit)
+
+
+def _families(d, top, rng):
+    yield random_blocks(d, top, rng)
+    yield permutation_blocks(d, top, tuple(int(k) for k in rng.permutation(d)))
+    if d >= 2:
+        pair = tuple(int(k) for k in rng.choice(d, 2, replace=False))
+        yield damping_blocks(d, top, pair, float(rng.uniform()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_readers_match_shell_loops(d, rng):
+    # top shells below (where the reference is valid), at and above d - 1
+    for top in sorted({max(0, d - 2), d - 1, d, d + 7, 42}):
+        for bu in _families(d, top, rng):
+            for q in (0.0, 0.3, 0.5, 0.97, 1.0):
+                assert np.array_equal(sto_population_matrix(bu, q), loop_population_matrix(bu, q))
+            if top - d + 1 >= 1:
+                bath = BathSpec.from_q(0.6, top - d + 1)
+                assert np.array_equal(a_vectors(bu, bath).A, loop_a_vectors(bu, bath))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_block_families_match_per_shell_construction(d, rng):
+    for top in (0, d - 1, d + 9):
+        for _ in range(4):
+            perm = tuple(int(k) for k in rng.permutation(d))
+            ref = loop_permutation_blocks(d, top, perm)
+            got = permutation_blocks(d, top, perm).blocks
+            assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+            if d >= 2:
+                pair = tuple(int(k) for k in rng.choice(d, 2, replace=False))
+                for r in (0.0, float(rng.uniform()), 1.0):
+                    ref = loop_damping_blocks(d, top, pair, r)
+                    got = damping_blocks(d, top, pair, r).blocks
+                    assert len(got) == len(ref)
+                    for a, b in zip(got, ref):
+                        assert np.array_equal(a, b)
+                        assert np.array_equal(np.signbit(a.real), np.signbit(b))  # -0.0 kept
 
 
 def test_exto_optimal_channel(rng):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lp_oracle import LinearProgram, lp_membership_residual, lp_support, solve_lp
+from thermops import channels, cones
 from thermops.core import BathSpec, gibbs_ladder
 from thermops.channels import random_blocks, sto_population_matrix
 from thermops.cli import _cone_csv
@@ -449,3 +450,33 @@ class TestConeApprox:
         assert sum(ln.startswith("support,") for ln in lines) == 24
         assert sum(ln.startswith("point,") for ln in lines) == approx.points.shape[0]
         assert "np.float64" not in text
+
+
+def test_sto_cone_sample_call_contract(monkeypatch, fig_state):
+    """The call structure the benchmark pins for a traced `cone all`: one
+    Haar draw per shell of every third draw, one BlockUnitary and one
+    population matrix per point."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(channels, "haar_stack", counted("haar_stack", channels.haar_stack))
+    monkeypatch.setattr(cones, "random_blocks", counted("random_blocks", cones.random_blocks))
+    block_init = counted("BlockUnitary", channels.BlockUnitary.__init__)
+    monkeypatch.setattr(channels.BlockUnitary, "__init__", block_init)
+    monkeypatch.setattr(
+        cones, "sto_population_matrix", counted("sto_population_matrix", cones.sto_population_matrix)
+    )
+    points, _ = sto_cone_sample(fig_state, BathSpec.from_q(0.5, 40), 42, 500, 7)
+    assert len(points) == 506
+    assert calls == {
+        "haar_stack": 7181,
+        "random_blocks": 167,
+        "BlockUnitary": 506,
+        "sto_population_matrix": 506,
+    }

@@ -17,6 +17,7 @@ from thermops.core import (
     require_count,
     require_distribution,
     require_finite,
+    require_levels,
     require_unit_interval,
     time_translate,
     trace_distance,
@@ -124,6 +125,15 @@ class TestInputChecks:
             require_count(bad, "n")
         with pytest.raises(ValueError):
             require_count(0, "n", 1)
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 0), (1, 0, 2, 3), (0, 0, 1), (0, 1, 3), (0, -1, 1), (0, 0.5, 2), 3, "012"]
+    )
+    def test_levels(self, bad):
+        assert require_levels(range(3), "perm", 3, 3) == (0, 1, 2)
+        assert require_levels(np.array([2, 0]), "pair", 3, 2) == (2, 0)
+        with pytest.raises(ValueError, match="perm must be 3 distinct levels of range"):
+            require_levels(bad, "perm", 3, 3)
 
     @pytest.mark.parametrize(
         "bad", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [0.5, 0.6, -0.1], [0.5, 0.5, 1e-8]]
