@@ -31,6 +31,7 @@ from .channels import (
     identity_blocks,
     qubit_optimal_sto,
     random_blocks,
+    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,

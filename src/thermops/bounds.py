@@ -13,18 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemSpec, _as_matrix, require_finite, require_unit_interval
+from .core import SystemSpec, _as_matrix, require_finite, require_levels, require_unit_interval
 from .channels import KrausChannel, TransitionMatrix, qubit_retentions, transition_matrix
 
 
 def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
     for any channel covariant under free evolution:
-    sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d])."""
+    sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d]).
+    i and j must be levels of the system; a raw G must be finite."""
     m = _as_matrix(rho)
     g = G.G if isinstance(G, TransitionMatrix) else np.asarray(G, dtype=float)
     if m.shape[0] != spec.d or g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
+    require_finite(g, "G")
+    (i,) = require_levels((i,), "i", spec.d, 1)
+    (j,) = require_levels((j,), "j", spec.d, 1)
     want = spec.gap(i, j)
     total = 0.0
     for c in range(spec.d):
@@ -92,9 +96,10 @@ class SaturationReport:
 
 def saturation_check(ch: KrausChannel, rho, spec: SystemSpec, i: int, j: int) -> SaturationReport:
     """Compare the coherence a channel actually delivers at (i, j) against
-    the symmetric bound evaluated on its own measured population dynamics."""
-    achieved = abs(complex(ch.apply(rho)[i, j]))
+    the symmetric bound evaluated on its own measured population dynamics
+    (which checks i and j before they index the output)."""
     bound = symmetric_bound(rho, transition_matrix(ch), spec, i, j)
+    achieved = abs(complex(ch.apply(rho)[i, j]))
     ratio = 1.0 if bound == 0.0 else achieved / bound
     return SaturationReport(achieved=achieved, bound=bound, ratio=ratio)
 

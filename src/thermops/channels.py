@@ -10,10 +10,11 @@ tag and the channel is automatically covariant under free evolution.
 
 A `BlockUnitary` keeps its shell blocks in one read-only, zero-padded
 (shells, d, d) `stack`, checked for unitarity once for the whole stack.
-The readers slice it once per input level k: shells k, k+1, ... hold the
-column of |k, n> for n = 0, 1, ..., so `a_vectors` and
-`sto_population_matrix` take `stack[k:, :, k]` instead of looping over
-shells.
+One kernel reads the ladder amplitudes out of it: `shell_columns` gathers
+U[k_out, k_in, n] = stack[k_in + n, k_out, k_in], the column of |k_in, n>
+in its shell, with one array slice per input level (and over any leading
+batch axes).  `a_vectors` weights it by sqrt(gamma_n); `sto_population_matrix`
+sums its squared moduli over n.
 
 A tagged channel depends only on the per-shift Gram matrix
 sum_K vec(K) vec(K)^dagger.  The assemblers (`sto_channel`,
@@ -68,7 +69,7 @@ def _shell_views(stack: np.ndarray) -> tuple:
     return tuple(stack[j, : j + 1, : j + 1] for j in range(min(len(stack), d - 1))) + tuple(stack[d - 1 :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockUnitary:
     """Shell blocks of an energy-conserving joint unitary on a d-level
     ladder plus one resonant mode.  blocks[j] acts on shell j (total energy
@@ -83,7 +84,7 @@ class BlockUnitary:
 
     d: int
     blocks: tuple
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = require_count(self.d, "d", 1)
@@ -107,6 +108,21 @@ class BlockUnitary:
     @property
     def top_shell(self) -> int:
         return len(self.blocks) - 1
+
+
+def shell_columns(stack: np.ndarray, count: int) -> np.ndarray:
+    """The ladder amplitude kernel: U[..., k_out, k_in, n] =
+    stack[..., k_in + n, k_out, k_in] for n < count, read from a zero-padded
+    (..., shells, d, d) stack (leading axes are a batch).  Column n of input
+    level k_in is the |k_in, n> column of shell k_in + n; entries whose shell
+    lies past the stack are zero."""
+    count = require_count(count, "count", 1)
+    d = stack.shape[-1]
+    u = np.zeros(stack.shape[:-3] + (d, d, count), dtype=stack.dtype)
+    for k in range(d):
+        cols = stack[..., k : k + count, :, k]  # (..., shells read, k_out)
+        u[..., k, : cols.shape[-2]] = np.swapaxes(cols, -1, -2)
+    return u
 
 
 def permutation_blocks(d: int, top_shell: int, perm) -> BlockUnitary:
@@ -158,7 +174,7 @@ def random_blocks(d: int, top_shell: int, rng: np.random.Generator) -> BlockUnit
     return BlockUnitary(d, tuple(haar_stack(rng, 1, min(d, j + 1))[0] for j in range(top_shell + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map given by Kraus operators, optionally tagged with the system
     energy shift (grid units) each operator applies.  A tagged channel is
@@ -268,7 +284,7 @@ def cptp_deviation(ch: KrausChannel) -> float:
     return max(tp, cp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Column-stochastic population-dynamics matrix: G[k_out, k_in]."""
 
@@ -337,7 +353,7 @@ def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> Kraus
     return KrausChannel(*_canonical_kraus(kraus, np.tile(shifts, a.shape[2]) * bath.epsilon))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AVectors:
     """Transition amplitude vectors of a ladder channel.
 
@@ -363,23 +379,16 @@ class AVectors:
     def d(self) -> int:
         return self.A.shape[0]
 
-    def vector(self, k_out: int, k_in: int) -> np.ndarray:
-        return self.A[k_out, k_in]
-
     def transition_probabilities(self) -> np.ndarray:
         return (np.abs(self.A) ** 2).sum(axis=2)
 
 
 def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> AVectors:
-    """Amplitude vectors of the ladder channel built from these blocks."""
-    d, n_keep = blocks.d, bath.truncation
-    if blocks.top_shell < n_keep + d - 1:
+    """Amplitude vectors of the ladder channel built from these blocks:
+    sqrt(gamma_n) times the `shell_columns` of their stack."""
+    if blocks.top_shell < bath.truncation + blocks.d - 1:
         raise ValueError("blocks must cover all populated shells")
-    amp = np.sqrt(bath.gibbs_weights())[:, None]
-    a = np.zeros((d, d, n_keep + 1), dtype=complex)
-    for k_in in range(d):
-        a[:, k_in, :] = (amp * blocks.stack[k_in : k_in + n_keep + 1, :, k_in]).T
-    return AVectors(a)
+    return AVectors(np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1))
 
 
 def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: int, j: int) -> complex:
@@ -387,7 +396,9 @@ def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: 
 
     Nonzero only within one coherence mode (i - c == j - d); a mode mismatch
     returns 0 after flagging, since covariance forces it.  Equals the inner
-    product of the amplitude vectors for c -> i and d -> j."""
+    product of the amplitude vectors for c -> i and d -> j.  Each index must
+    be a level of range(blocks.d)."""
+    c, d, i, j = (require_levels((k,), name, blocks.d, 1)[0] for name, k in zip("cdij", (c, d, i, j)))
     if i - c != j - d:
         import warnings
 
@@ -518,23 +529,23 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     """Population matrix of the untruncated-mode ladder channel whose shell
     blocks follow `blocks` up to the top shell and are identity above.
 
-    Exactly Gibbs stochastic (column k: geometric weights over shells plus
-    the identity tail q^max(0, top-k+1)); useful where membership
-    tolerances are tighter than any finite truncation error.  q must be
-    finite and within [0, 1], as in `gibbs_ladder`."""
+    Exactly Gibbs stochastic: column k sums the geometric weights
+    (1-q) q^n times |U[:, k, n]|^2 over the `shell_columns` U of the stack
+    (shells k..top hold input level k), plus the identity tail
+    q^max(0, top-k+1) on the diagonal.  Useful where membership tolerances
+    are tighter than any finite truncation error.  q must be finite and
+    within [0, 1], as in `gibbs_ladder`."""
     q = require_finite(q, "q", low=0.0, high=1.0)
     d, top = blocks.d, blocks.top_shell
-    weights = np.array([(1.0 - q) * q**n for n in range(top + 1)])
-    probs = np.abs(blocks.stack) ** 2
-    g = np.zeros((d, d))
-    for k in range(d):
-        shells = max(0, top - k + 1)  # shells k..top hold input level k
-        if shells:
-            # cumsum adds the shells in order, like a running +=; a sum may
-            # pair them up (it does for d = 1) and change the last bits
-            g[:, k] = np.cumsum(weights[:shells, None] * probs[k:, :, k], axis=0)[-1]
-        g[k, k] += q**shells
-    return g
+    count = max(1, top + 1)  # an empty stack still reads one (zero) column
+    weights = np.array([(1.0 - q) * q**n for n in range(count)])
+    tail = [q ** max(0, top - k + 1) for k in range(d)]
+    # cumsum adds the shells in order, like a running +=; a sum may pair
+    # them up and change the last bits.  Adding the tail also turns the
+    # strided [..., -1] view into a C-contiguous matrix, which `g @ p`
+    # rounds like every other matrix.
+    g = np.cumsum(weights * np.abs(shell_columns(blocks.stack, count)) ** 2, axis=-1)[..., -1]
+    return g + np.diag(tail)
 
 
 def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:

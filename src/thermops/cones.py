@@ -232,7 +232,7 @@ def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):
     return np.array(points), tags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeApprox:
     """Outer description (support samples) plus labeled inner points of a
     population cone."""

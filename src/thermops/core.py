@@ -171,12 +171,14 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > HERM_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
+        if not np.abs(m - m.conj().T).max() <= HERM_TOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        if np.linalg.eigvalsh(m).min() < EIG_FLOOR:
+        if not np.linalg.eigvalsh(m).min() >= EIG_FLOOR:
             raise ValueError("negative eigenvalue beyond noise floor")
         m.flags.writeable = False
         self.mat = m
@@ -199,7 +201,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
     """Entries of a matrix grouped by energy gap: mode m holds the (i, j)
     entries with E_i - E_j = m (grid units).  Summing all modes restores the

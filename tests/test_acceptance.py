@@ -1,9 +1,11 @@
 """End-to-end acceptance checks.
 
 One test per shipped guarantee, each printing a single PASS/FAIL line with
-the measured worst case.  Heavy sweeps run on vectorized amplitude kernels
-that are cross-validated against the library's channel assembly on a few
-draws before being trusted at scale.
+the measured worst case.  Heavy sweeps stack 10^4 channels' shell blocks
+into one (B, shells, d, d) array and read their amplitudes with the
+library kernel `shell_columns`; a few draws of each sweep are cross-checked
+at 1e-12 against `sto_channel` or `shell_sto_channel` before the sweep is
+trusted at scale.
 """
 
 import json
@@ -25,6 +27,7 @@ from thermops.channels import (
     haar_stack,
     qubit_optimal_sto,
     random_blocks,
+    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,
@@ -63,7 +66,7 @@ def announce(capsys, number, name, ok, detail=""):
 
 
 # ---------------------------------------------------------------------------
-# vectorized amplitude kernels for the big sweeps
+# stacked shell blocks for the big sweeps
 
 
 def ideal_weights(q, n_top):
@@ -75,41 +78,23 @@ def renorm_weights(q, n_keep):
     return w / w.sum()
 
 
-def assemble_qutrit_grid(phase0, b1, b2, w):
-    """A[b, k_out, k_in, n] for stacked ladder-qutrit shell blocks.
-
-    phase0: shell-0 phases [B]; b1: shell-1 blocks [B,2,2]; b2: blocks for
-    shells 2..2+len(w)-1, [B,len(w),3,3]; w: bath weights for n = 0..len(w)-1.
-    """
-    batch = phase0.shape[0]
-    n_top = len(w) - 1
-    sq = np.sqrt(w)
-    a = np.zeros((batch, 3, 3, n_top + 1), dtype=complex)
-    for c in range(3):
-        for n in range(n_top + 1):
-            j = c + n
-            if j == 0:
-                a[:, 0, 0, n] = sq[n] * phase0
-            elif j == 1:
-                a[:, :2, c, n] = sq[n] * b1[:, :2, c]
-            else:
-                a[:, :, c, n] = sq[n] * b2[:, j - 2, :, c]
-    return a
+def qubit_stack(phase0, mats):
+    """(B, shells, 2, 2) stack of qubit ladders: shell 0 holds the phases
+    phase0 [B], shells 1, 2, ... the blocks mats [B, S, 2, 2]."""
+    stack = np.zeros((len(phase0), mats.shape[1] + 1, 2, 2), dtype=complex)
+    stack[:, 0, 0, 0] = phase0
+    stack[:, 1:] = mats
+    return stack
 
 
-def assemble_qubit_grid(phase0, b1, w):
-    batch = phase0.shape[0]
-    n_top = len(w) - 1
-    sq = np.sqrt(w)
-    a = np.zeros((batch, 2, 2, n_top + 1), dtype=complex)
-    for c in range(2):
-        for n in range(n_top + 1):
-            j = c + n
-            if j == 0:
-                a[:, 0, 0, n] = sq[n] * phase0
-            else:
-                a[:, :, c, n] = sq[n] * b1[:, j - 1, :, c]
-    return a
+def qutrit_stack(phase0, b1, b2):
+    """(B, shells, 3, 3) stack of qutrit ladders: phases phase0 [B] on
+    shell 0, blocks b1 [B, 2, 2] on shell 1, b2 [B, S, 3, 3] on shells 2, 3, ..."""
+    stack = np.zeros((len(phase0), b2.shape[1] + 2, 3, 3), dtype=complex)
+    stack[:, 0, 0, 0] = phase0
+    stack[:, 1, :2, :2] = b1
+    stack[:, 2:] = b2
+    return stack
 
 
 def grid_apply(a, rho):
@@ -130,22 +115,18 @@ def grid_apply(a, rho):
 def four_level_transfer(b0, c0, bmats, cmats, w, tail=0.0):
     """Small-gap mode transfer coefficients for stacked four-level channels.
 
-    bmats/cmats slot s holds the block coupling (level 0, n=s+1) with
-    (level 2, n=s) resp. (1, s+1) with (3, s); b0/c0 are the bottom-shell
-    phases.  w[n] weights bath level n.  tail adds the analytic remainder
-    for identity blocks above the materialized range (exact untruncated
-    channels); it feeds only the diagonal coefficients.
+    The level pairs 0-2 and 1-3 are two qubit ladders: bmats/cmats slot s
+    holds the block coupling (level 0, n=s+1) with (level 2, n=s) resp.
+    (1, s+1) with (3, s); b0/c0 are the bottom-shell phases.  w[n] weights
+    bath level n, and m[b, i, c] sums w[n] U_c[i, c, n] conj(U_b[i, c, n])
+    over their shell columns.  tail adds the analytic remainder for
+    identity blocks above the materialized range (exact untruncated
+    channels); it feeds only the diagonal coefficient m00.
     """
-    nw = len(w)
-    m00 = w[0] * c0 * np.conj(b0)
-    for n in range(1, nw):
-        m00 = m00 + w[n] * cmats[:, n - 1, 0, 0] * np.conj(bmats[:, n - 1, 0, 0])
-    m01 = sum(w[n] * cmats[:, n, 0, 1] * np.conj(bmats[:, n, 0, 1]) for n in range(nw))
-    m10 = sum(
-        w[n] * cmats[:, n - 1, 1, 0] * np.conj(bmats[:, n - 1, 1, 0]) for n in range(1, nw)
-    )
-    m11 = sum(w[n] * cmats[:, n, 1, 1] * np.conj(bmats[:, n, 1, 1]) for n in range(nw))
-    return m00 + tail, m01, m10, m11
+    u_b = shell_columns(qubit_stack(b0, bmats), len(w))
+    u_c = shell_columns(qubit_stack(c0, cmats), len(w))
+    m = np.cumsum(w * u_c * u_b.conj(), axis=-1)[..., -1]  # adds n in order, as sum() may not
+    return m[:, 0, 0] + tail, m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
 
 
 def four_level_shell_channel(spec, bath, b0, c0, bmats, cmats):
@@ -327,7 +308,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
     batch = 5000
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch * (n_keep + 1), 2).reshape(batch, n_keep + 1, 2, 2)
-    a = assemble_qubit_grid(phase0, b1, w)
+    a = np.sqrt(w) * shell_columns(qubit_stack(phase0, b1), len(w))
     g = (np.abs(a) ** 2).sum(axis=3)
     out = grid_apply(a, QUBIT_RHO)
     bound = abs(QUBIT_RHO[1, 0]) * np.sqrt(g[:, 1, 1] * g[:, 0, 0])
@@ -349,7 +330,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
     b2 = haar_stack(rng, batch * (n_keep + 1), 3).reshape(batch, n_keep + 1, 3, 3)
-    a = assemble_qutrit_grid(phase0, b1, b2, w)
+    a = np.sqrt(w) * shell_columns(qutrit_stack(phase0, b1, b2), len(w))
     g = (np.abs(a) ** 2).sum(axis=3)
     out = grid_apply(a, QUTRIT_RHO)
     mode_pairs = {(1, 0): ((1, 0), (2, 1)), (2, 1): ((1, 0), (2, 1)), (2, 0): ((2, 0),)}
@@ -493,7 +474,7 @@ def test_09_overlap_bound_sweep(capsys):
     b2[:, : j_rand - 1] = haar_stack(rng, batch * (j_rand - 1), 3).reshape(
         batch, j_rand - 1, 3, 3
     )
-    a = assemble_qutrit_grid(phase0, b1, b2, w)
+    a = np.sqrt(w) * shell_columns(qutrit_stack(phase0, b1, b2), len(w))
     out = grid_apply(a, rho) + q ** (j_rand + 1) * rho  # identity-block remainder
 
     bounds = overlap_merge_bounds(a_in, b_in, q)
@@ -509,7 +490,7 @@ def test_09_overlap_bound_sweep(capsys):
     b1s = haar_stack(rng, 1, 2)
     b2s = np.broadcast_to(np.eye(3, dtype=complex), (1, j_small + 1, 3, 3)).copy()
     b2s[0, : j_small - 1] = haar_stack(rng, j_small - 1, 3)
-    a_small = assemble_qutrit_grid(ph, b1s, b2s, w_small)
+    a_small = np.sqrt(w_small) * shell_columns(qutrit_stack(ph, b1s, b2s), len(w_small))
     kernel_out = grid_apply(a_small, rho)[0] + q ** (j_small + 1) * rho
     blocks = [np.array([[ph[0]]]), b1s[0]] + [
         b2s[0, s] if s < j_small - 1 else np.eye(3) for s in range(n_deep + 1)

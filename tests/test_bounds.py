@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from thermops.core import BathSpec, DensityMatrix, SystemSpec
 from thermops.channels import (
+    coherence_transfer,
     haar_stack,
+    identity_blocks,
     random_blocks,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
@@ -37,6 +39,35 @@ def test_symmetric_bound_hand_value():
     assert symmetric_bound(rho, g, spec, 2, 0) == 0.0
     with pytest.raises(ValueError):
         symmetric_bound(rho, g[:2, :2], spec, 1, 0)
+
+
+_QUTRIT = SystemSpec.ladder(3)
+_RHO3 = np.eye(3, dtype=complex) / 3
+_G3 = np.eye(3)
+_SWAP4 = simultaneous_beta_swap_kraus(0.5, e2=1)
+_BLOCKS2 = identity_blocks(2, 5)
+_BATH2 = BathSpec.from_q(0.5, 4)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("i", lambda: symmetric_bound(_RHO3, _G3, _QUTRIT, 3, 0)),
+        ("i", lambda: symmetric_bound(_RHO3, _G3, _QUTRIT, -1, 0)),
+        ("j", lambda: symmetric_bound(_RHO3, _G3, _QUTRIT, 0, 1.5)),
+        ("G", lambda: symmetric_bound(_RHO3, np.full((3, 3), np.nan), _QUTRIT, 1, 0)),
+        ("G", lambda: symmetric_bound(_RHO3, np.diag([1.0, np.inf, 1.0]), _QUTRIT, 1, 1)),
+        ("i", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), -2, -3)),
+        ("j", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), 1, 4)),
+        ("c", lambda: coherence_transfer(_BLOCKS2, _BATH2, -1, 0, 0, 1)),
+        ("d", lambda: coherence_transfer(_BLOCKS2, _BATH2, 0, 2, 0, 1)),
+        ("i", lambda: coherence_transfer(_BLOCKS2, _BATH2, 0, 0, 2, 0)),
+        ("j", lambda: coherence_transfer(_BLOCKS2, _BATH2, 1, 0, 1, np.nan)),
+    ],
+)
+def test_level_index_checks(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
 
 
 class TestMergeBounds:

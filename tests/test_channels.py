@@ -10,6 +10,7 @@ from thermops.core import (
     gibbs_state,
     mode_decompose,
 )
+from thermops.cones import ConeApprox
 from thermops.channels import (
     AVectors,
     _enumerate_shells,
@@ -28,6 +29,7 @@ from thermops.channels import (
     permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
+    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,
@@ -132,6 +134,25 @@ def test_block_unitary_stack(rng):
 def test_block_family_input_checks(name, build):
     with pytest.raises(ValueError, match=f"^{name} must"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: identity_blocks(2, 3),
+        lambda: KrausChannel((np.eye(2),)),
+        lambda: TransitionMatrix(np.eye(2)),
+        lambda: AVectors(np.eye(2)[:, :, None]),
+        lambda: ConeApprox(np.ones(3) / 3, np.ones(3) / 3, (), np.eye(3), ("a", "b", "c")),
+        lambda: mode_decompose(np.eye(2) / 2, SystemSpec.ladder(2)),
+    ],
+)
+def test_array_holders_compare_by_identity(build):
+    # a field-wise == would ask numpy arrays for a truth value and raise
+    x, copy = build(), build()
+    assert x == x
+    assert not x == copy
+    assert x != copy
 
 
 def test_kraus_validation():
@@ -465,6 +486,7 @@ def test_sto_population_matrix_tail_below_full_shells(rng):
     g = sto_population_matrix(random_blocks(4, 1, rng), 0.5)
     assert np.abs(g.sum(axis=0) - 1.0).max() <= 1e-15
     assert np.array_equal(g[:, 2:], np.eye(4)[:, 2:])
+    assert np.array_equal(sto_population_matrix(BlockUnitary(4, ()), 0.5), np.eye(4))  # no shells
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +506,35 @@ def test_stacked_readers_match_shell_loops(d, rng):
     # top shells below (where the reference is valid), at and above d - 1
     for top in sorted({max(0, d - 2), d - 1, d, d + 7, 42}):
         for bu in _families(d, top, rng):
+            p = rng.dirichlet(np.ones(d))
             for q in (0.0, 0.3, 0.5, 0.97, 1.0):
-                assert np.array_equal(sto_population_matrix(bu, q), loop_population_matrix(bu, q))
+                g, ref = sto_population_matrix(bu, q), loop_population_matrix(bu, q)
+                assert np.array_equal(g, ref)
+                assert np.array_equal(g @ p, ref @ p)  # a strided g would round differently
             if top - d + 1 >= 1:
                 bath = BathSpec.from_q(0.6, top - d + 1)
                 assert np.array_equal(a_vectors(bu, bath).A, loop_a_vectors(bu, bath))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_shell_columns_batched(d, rng):
+    top = d + 5
+    stacks = np.stack([random_blocks(d, top, rng).stack for _ in range(4)])
+    for count in (1, 2, top - d + 2, top + 1, top + 4):
+        batched = shell_columns(stacks, count)
+        assert batched.shape == (4, d, d, count)
+        for b, stack in enumerate(stacks):
+            single = shell_columns(stack, count)
+            assert np.array_equal(batched[b], single)
+            for k_out in range(d):
+                for k_in in range(d):
+                    for n in range(count):
+                        # shells past the stack read as zero
+                        want = stack[k_in + n, k_out, k_in] if k_in + n <= top else 0.0
+                        assert single[k_out, k_in, n] == want
+    for bad in (0, -1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="^count must"):
+            shell_columns(stacks, bad)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -96,6 +96,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix.pure([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix([[1.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix.diagonal([bad, 1.0])
+
     def test_readonly(self):
         rho = DensityMatrix.diagonal([1.0, 0.0])
         with pytest.raises(ValueError):
