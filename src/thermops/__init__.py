@@ -8,13 +8,10 @@ resulting coherence limits and population cones.
 from .core import (
     BathSpec,
     DensityMatrix,
-    ModeSet,
     SystemSpec,
     gibbs_state,
-    mode_decompose,
     populations,
     renyi_divergence,
-    time_translate,
     trace_distance,
 )
 from .channels import (

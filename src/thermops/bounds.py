@@ -21,11 +21,13 @@ def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
     for any channel covariant under free evolution:
     sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d]).
-    i and j must be levels of the system; a raw G must be finite."""
+    i and j must be levels of the system; rho and a raw G must be finite."""
     m = _as_matrix(rho)
     g = G.G if isinstance(G, TransitionMatrix) else np.asarray(G, dtype=float)
     if m.shape[0] != spec.d or g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
+    if not np.isfinite(m).all():
+        raise ValueError("rho must have finite entries")
     require_finite(g, "G")
     (i,) = require_levels((i,), "i", spec.d, 1)
     (j,) = require_levels((j,), "j", spec.d, 1)

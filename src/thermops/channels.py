@@ -16,12 +16,15 @@ in its shell, with one array slice per input level (and over any leading
 batch axes).  `a_vectors` weights it by sqrt(gamma_n); `sto_population_matrix`
 sums its squared moduli over n.
 
-A tagged channel depends only on the per-shift Gram matrix
-sum_K vec(K) vec(K)^dagger.  The assemblers (`sto_channel`,
-`shell_sto_channel`, tagged `KrausChannel.compose`) return its canonical
-form: one Gram eigendecomposition per shift, one operator per eigenvector,
-so a d-level channel carries at most d^2 Kraus operators whatever the
-truncation.
+A `KrausChannel` keeps its operators in one read-only (operators, d, d)
+array, so application, composition, the Choi matrix and the population
+dynamics are array expressions over it.  A tagged channel depends only on
+the per-shift Gram matrix sum_K vec(K) vec(K)^dagger.  The assemblers
+(`sto_channel`, `shell_sto_channel`, tagged `KrausChannel.compose`) return
+its canonical form: one Gram eigendecomposition per shift, one operator per
+eigenvector, so a d-level channel carries at most d^2 Kraus operators
+whatever the truncation.  `verify_covariant` reads covariance exactly off
+the Choi matrix: it must vanish between entries of different energy gaps.
 
 The mode's Gibbs weights are renormalized over the kept Fock levels, which
 makes every assembled channel exactly trace preserving; the truncation shows
@@ -179,23 +182,29 @@ class KrausChannel:
     """CPTP map given by Kraus operators, optionally tagged with the system
     energy shift (grid units) each operator applies.  A tagged channel is
     covariant by construction: operator K with shift s is supported on
-    entries (i, j) with E_i - E_j = s."""
+    entries (i, j) with E_i - E_j = s.
 
-    kraus: tuple
+    `kraus` holds the operators in one read-only complex array of shape
+    (operators, dim, dim); every method below is an array expression over
+    it."""
+
+    kraus: np.ndarray
     shifts: tuple = None
 
     def __post_init__(self):
-        ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ks:
+        shapes = {np.shape(k) for k in self.kraus}
+        if not shapes:
             raise ValueError("need at least one Kraus operator")
-        dim = ks[0].shape[0]
-        if any(k.shape != (dim, dim) for k in ks):
+        shape = shapes.pop()
+        if shapes or len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("all Kraus operators must be square of equal dimension")
+        ks = np.array(self.kraus, dtype=complex)
         if self.shifts is not None:
             sh = tuple(int(s) for s in self.shifts)
             if len(sh) != len(ks):
                 raise ValueError("one shift per Kraus operator")
             object.__setattr__(self, "shifts", sh)
+        ks.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
         dev = self.completeness_deviation
         if not dev <= COMPLETENESS_TOL:
@@ -203,19 +212,17 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     @property
     def completeness_deviation(self) -> float:
-        s = sum(k.conj().T @ k for k in self.kraus)
+        k = self.kraus
+        s = (k.conj().swapaxes(1, 2) @ k).sum(axis=0)
         return float(np.abs(s - np.eye(self.dim)).max())
 
     def apply(self, rho) -> np.ndarray:
-        m = _as_matrix(rho)
-        out = np.zeros_like(m, dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
-        return out
+        k = self.kraus
+        return (k @ _as_matrix(rho) @ k.conj().swapaxes(1, 2)).sum(axis=0)
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """self after other (self o other).
@@ -226,24 +233,22 @@ class KrausChannel:
         PRUNE_TOL is kept, untagged."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        ks = [a @ b for a in self.kraus for b in other.kraus]
+        ks = (self.kraus[:, None] @ other.kraus[None]).reshape(-1, self.dim, self.dim)
         if self.shifts is not None and other.shifts is not None:
-            sh = [sa + sb for sa in self.shifts for sb in other.shifts]
-            return KrausChannel(*_canonical_kraus(ks, sh))
-        return KrausChannel(tuple(k for k in ks if np.linalg.norm(k) > PRUNE_TOL))
+            return KrausChannel(*_canonical_kraus(ks, np.add.outer(self.shifts, other.shifts).ravel()))
+        return KrausChannel(ks[np.linalg.norm(ks, axis=(1, 2)) > PRUNE_TOL])
 
     def choi(self) -> np.ndarray:
-        """Choi matrix in the row-major |i><j| basis; trace equals dim."""
-        d = self.dim
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for k in self.kraus:
-            v = k.reshape(-1)
-            c += np.outer(v, v.conj())
-        return c
+        """Choi matrix sum_K vec(K) vec(K)^dagger, vec row-major:
+        C[(i, k), (j, l)] is the |i><j| coefficient of channel(|k><l|).
+        Its trace equals dim."""
+        v = self.kraus.reshape(len(self.kraus), -1)
+        return v.T @ v.conj()
 
 
 def _canonical_kraus(kraus, shifts):
-    """Fewest Kraus operators of the same tagged channel, tags kept.
+    """Fewest Kraus operators of the same tagged channel, tags kept, as a
+    (operators, dim, dim) stack and a tuple of shifts.
 
     Per shift tag (ascending), the operators' entries on their joint nonzero
     support are the rows of V.  G = V^T V* is that tag's share of the Choi
@@ -261,12 +266,12 @@ def _canonical_kraus(kraus, shifts):
         support = np.flatnonzero(np.any(v != 0, axis=0))
         v = v[:, support]
         lam, w = np.linalg.eigh(v.T @ v.conj())
-        for i in np.flatnonzero(lam > PRUNE_TOL**2)[::-1]:
-            k = np.zeros(dim * dim, dtype=complex)
-            k[support] = np.sqrt(lam[i]) * w[:, i]
-            out.append(k.reshape(dim, dim))
-            out_shifts.append(int(s))
-    return tuple(out), tuple(out_shifts)
+        keep = np.flatnonzero(lam > PRUNE_TOL**2)[::-1]
+        ops = np.zeros((len(keep), dim * dim), dtype=complex)
+        ops[:, support] = (np.sqrt(lam[keep]) * w[:, keep]).T
+        out.append(ops)
+        out_shifts += [int(s)] * len(keep)
+    return np.concatenate(out).reshape(-1, dim, dim), tuple(out_shifts)
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
@@ -313,14 +318,9 @@ class TransitionMatrix:
         return self.gibbs_deviation(gamma) <= tol
 
 
-def transition_matrix(ch: KrausChannel, spec: SystemSpec = None) -> TransitionMatrix:
+def transition_matrix(ch: KrausChannel) -> TransitionMatrix:
     """Population dynamics G[k', k] = <k'| channel(|k><k|) |k'>."""
-    if spec is not None and spec.d != ch.dim:
-        raise ValueError("dimension mismatch")
-    g = np.zeros((ch.dim, ch.dim))
-    for k in ch.kraus:
-        g += np.abs(k) ** 2
-    return TransitionMatrix(g)
+    return TransitionMatrix((np.abs(ch.kraus) ** 2).sum(axis=0))
 
 
 def _require_resonant_ladder(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec):
@@ -548,6 +548,12 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     return g + np.diag(tail)
 
 
+def _gap_matrix(spec: SystemSpec) -> np.ndarray:
+    """gap[i, j] = E_i - E_j: the shift of entry (i, j), in grid units."""
+    e = np.asarray(spec.energies)
+    return np.subtract.outer(e, e)
+
+
 def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:
     """Covariant channel achieving the largest coherence transfer compatible
     with the given population dynamics: one Kraus operator per energy gap,
@@ -561,19 +567,11 @@ def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:
         raise ValueError("dimension mismatch")
     if any(b <= a for a, b in zip(spec.energies, spec.energies[1:])):
         raise ValueError("energies must be strictly increasing")
-    level_at = {e: k for k, e in enumerate(spec.energies)}
-    gaps = sorted({ei - ej for ei in spec.energies for ej in spec.energies})
-    kraus, shifts = [], []
-    for gap in gaps:
-        k = np.zeros((spec.d, spec.d), dtype=complex)
-        for c in range(spec.d):
-            partner = level_at.get(spec.energies[c] + gap)
-            if partner is not None:
-                k[partner, c] = np.sqrt(max(g[partner, c], 0.0))
-        if np.linalg.norm(k) > PRUNE_TOL:
-            kraus.append(k)
-            shifts.append(gap)
-    return KrausChannel(tuple(kraus), tuple(shifts))
+    gap = _gap_matrix(spec)
+    gaps = np.unique(gap)
+    kraus = (np.sqrt(np.maximum(g, 0.0)) * (gap == gaps[:, None, None])).astype(complex)
+    keep = np.linalg.norm(kraus, axis=(1, 2)) > PRUNE_TOL
+    return KrausChannel(kraus[keep], tuple(int(s) for s in gaps[keep]))
 
 
 @dataclass(frozen=True)
@@ -589,34 +587,20 @@ def verify_gibbs_preserving(ch: KrausChannel, gamma: DensityMatrix, tol: float =
 
 
 def verify_covariant(ch: KrausChannel, spec: SystemSpec, tol: float = 1e-9) -> VerifyReport:
-    """Covariance under free evolution.
+    """Covariance under free evolution, exactly.
 
-    Structural part: every Kraus operator must live on a single energy shift
-    (its tag when present, else the gap carrying the largest weight).
-    Dynamical part: channel(U rho U') == U channel(rho) U' on all matrix
-    units for a few incommensurate times."""
+    The channel maps |k><l| into entries |i><j| with weight C[(i, k), (j, l)]
+    of its Choi matrix; it commutes with exp(-iHt) for every t iff that
+    weight vanishes whenever E_i - E_k != E_j - E_l.  The deviation is the
+    largest such weight, and for a tagged channel also the largest entry of
+    an operator that lies off its tagged shift."""
     if spec.d != ch.dim:
         raise ValueError("dimension mismatch")
-    energies = np.asarray(spec.energies, dtype=float)
-    gap = energies[:, None] - energies[None, :]
-    dev = 0.0
-    for idx, k in enumerate(ch.kraus):
-        if ch.shifts is not None:
-            s = ch.shifts[idx]
-        else:
-            masses = {}
-            for g in np.unique(gap):
-                masses[g] = float(np.abs(k[gap == g]).max(initial=0.0))
-            s = max(masses, key=masses.get)
-        off = float(np.abs(k[gap != s]).max(initial=0.0))
-        dev = max(dev, off)
-    for t in (0.1, 0.7, 2.3):
-        phases = np.exp(-1j * t * energies)
-        u = np.outer(phases, phases.conj())
-        for a in range(spec.d):
-            for b in range(spec.d):
-                rho = np.zeros((spec.d, spec.d), dtype=complex)
-                rho[a, b] = 1.0
-                delta = ch.apply(u * rho) - u * ch.apply(rho)
-                dev = max(dev, float(np.abs(delta).max()))
+    gap = _gap_matrix(spec)
+    g = gap.ravel()
+    dev = np.abs(ch.choi()[g[:, None] != g[None, :]]).max(initial=0.0)
+    if ch.shifts is not None:
+        off = gap != np.asarray(ch.shifts)[:, None, None]
+        dev = max(dev, np.abs(ch.kraus[off]).max(initial=0.0))
+    dev = float(dev)
     return VerifyReport(deviation=dev, passed=dev <= tol)

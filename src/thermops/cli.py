@@ -61,7 +61,7 @@ from .cones import (
     to_support,
 )
 
-SCHEMA = "thermops/3"
+SCHEMA = "thermops/4"
 MEMBERSHIP_TOL = 1e-8  # curve gaps of reachable points are ~1e-15 rounding dust; not taken from --tol
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
 

@@ -201,27 +201,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class ModeSet:
-    """Entries of a matrix grouped by energy gap: mode m holds the (i, j)
-    entries with E_i - E_j = m (grid units).  Summing all modes restores the
-    source matrix exactly."""
-
-    dim: int
-    modes: dict
-
-    def __getitem__(self, m: int) -> np.ndarray:
-        if m in self.modes:
-            return self.modes[m]
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
-    def reassemble(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for block in self.modes.values():
-            out += block
-        return out
-
-
 def _as_matrix(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
@@ -236,25 +215,6 @@ def gibbs_state(spec: SystemSpec, beta: float) -> DensityMatrix:
 def populations(rho: DensityMatrix) -> np.ndarray:
     """Occupation probabilities (real diagonal)."""
     return np.real(np.diag(_as_matrix(rho))).copy()
-
-
-def mode_decompose(rho, spec: SystemSpec) -> ModeSet:
-    """Split a matrix into coherence modes by energy gap.
-
-    The integer grid guarantees every pairwise gap lands on the grid, so the
-    partition is exact (no tolerance involved)."""
-    m = _as_matrix(rho)
-    if m.shape[0] != spec.d:
-        raise ValueError("dimension mismatch")
-    modes = {}
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if m[i, j] == 0:
-                continue
-            g = spec.gap(i, j)
-            blk = modes.setdefault(g, np.zeros((spec.d, spec.d), dtype=complex))
-            blk[i, j] = m[i, j]
-    return ModeSet(dim=spec.d, modes=modes)
 
 
 def renyi_divergence(p, g, alpha) -> float:
@@ -298,13 +258,3 @@ def trace_distance(a, b) -> float:
     if ma.shape != mb.shape:
         raise ValueError("dimension mismatch")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(ma - mb)).sum())
-
-
-def time_translate(rho, spec: SystemSpec, t: float) -> DensityMatrix:
-    """Free evolution exp(-iHt) rho exp(+iHt).
-
-    Populations are untouched; the mode at gap m picks up the phase
-    exp(-i*m*t)."""
-    m = _as_matrix(rho)
-    phases = np.exp(-1j * t * np.asarray(spec.energies, dtype=float))
-    return DensityMatrix(m * np.outer(phases, phases.conj()))

@@ -57,6 +57,9 @@ _BATH2 = BathSpec.from_q(0.5, 4)
         ("j", lambda: symmetric_bound(_RHO3, _G3, _QUTRIT, 0, 1.5)),
         ("G", lambda: symmetric_bound(_RHO3, np.full((3, 3), np.nan), _QUTRIT, 1, 0)),
         ("G", lambda: symmetric_bound(_RHO3, np.diag([1.0, np.inf, 1.0]), _QUTRIT, 1, 1)),
+        ("rho", lambda: symmetric_bound(np.full((3, 3), np.nan), _G3, _QUTRIT, 1, 0)),
+        ("rho", lambda: symmetric_bound(np.full((3, 3), np.inf), _G3, _QUTRIT, 1, 0)),
+        ("rho", lambda: symmetric_bound(np.diag([0.5, -np.inf, 0.5]), _G3, _QUTRIT, 1, 1)),
         ("i", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), -2, -3)),
         ("j", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), 1, 4)),
         ("c", lambda: coherence_transfer(_BLOCKS2, _BATH2, -1, 0, 0, 1)),

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from covariance_oracle import sampled_covariance_deviation
 from shell_oracle import loop_a_vectors, loop_damping_blocks, loop_permutation_blocks, loop_population_matrix
-from thermops.core import (
-    BathSpec,
-    DensityMatrix,
-    SystemSpec,
-    gibbs_ladder,
-    gibbs_state,
-    mode_decompose,
-)
+from thermops.core import BathSpec, DensityMatrix, SystemSpec, gibbs_ladder, gibbs_state
 from thermops.cones import ConeApprox
 from thermops.channels import (
     AVectors,
@@ -144,7 +138,6 @@ def test_block_family_input_checks(name, build):
         lambda: TransitionMatrix(np.eye(2)),
         lambda: AVectors(np.eye(2)[:, :, None]),
         lambda: ConeApprox(np.ones(3) / 3, np.ones(3) / 3, (), np.eye(3), ("a", "b", "c")),
-        lambda: mode_decompose(np.eye(2) / 2, SystemSpec.ladder(2)),
     ],
 )
 def test_array_holders_compare_by_identity(build):
@@ -166,6 +159,32 @@ def test_kraus_validation():
     assert ch.dim == 2
     assert cptp_deviation(ch) <= 1e-15
     assert np.trace(ch.choi()).real == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "kraus, message",
+    [
+        ((), "need at least one Kraus operator"),
+        (np.zeros((0, 2, 2)), "need at least one Kraus operator"),
+        ((np.eye(2), np.eye(3)), "all Kraus operators must be square of equal dimension"),
+        ((np.eye(2), np.zeros((2, 3))), "all Kraus operators must be square of equal dimension"),
+        ((np.zeros((2, 3)),), "all Kraus operators must be square of equal dimension"),
+        (np.eye(2), "all Kraus operators must be square of equal dimension"),  # rows, not matrices
+    ],
+)
+def test_kraus_shape_checks(kraus, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KrausChannel(kraus)
+
+
+def test_kraus_stack_is_read_only_copy():
+    ops = np.array([np.eye(2)])
+    ch = KrausChannel(ops)
+    assert ch.kraus.shape == (1, 2, 2) and ch.kraus.dtype == complex
+    ops[0, 0, 0] = 5.0  # the caller's array is not the channel's
+    assert ch.kraus[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 2.0
 
 
 def test_transition_matrix_validation():
@@ -347,12 +366,10 @@ def test_mode_independence(rng):
     spec = SystemSpec.ladder(3)
     ch = sto_channel(random_blocks(3, 14, rng), spec, bath)
     rho = random_test_state(rng, 3)
+    gap = np.subtract.outer(spec.energies, spec.energies)
     for m in (-2, -1, 0, 1, 2):
-        part = mode_decompose(rho, spec)[m]
-        out = mode_decompose(ch.apply(part), spec)
-        for mm, blk in out.modes.items():
-            if mm != m:
-                assert np.abs(blk).max() <= 1e-14
+        out = ch.apply(np.where(gap == m, rho, 0.0))
+        assert np.abs(out[gap != m]).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +592,57 @@ def test_exto_optimal_validation():
     with pytest.raises(ValueError):
         # degenerate energies leave the gap -> partner map ambiguous
         exto_optimal_channel(np.eye(4), SystemSpec.four_level(1, 1))
+
+
+def mixed_amplitude_damping(damping):
+    """Qubit amplitude damping written with the untagged operators
+    (K0 +- K1)/sqrt(2): each mixes two energy shifts (at damping 0.3 an
+    operator holds 0.387 off its main one), yet the channel is the
+    covariant one that K0, K1 define."""
+    k0 = np.diag([1.0, np.sqrt(1.0 - damping)])
+    k1 = np.array([[0.0, np.sqrt(damping)], [0.0, 0.0]])
+    return KrausChannel(((k0 + k1) / np.sqrt(2.0), (k0 - k1) / np.sqrt(2.0)))
+
+
+def covariance_cases(rng):
+    """(name, channel, spec, covariant?) for the agreement test."""
+    for d in (2, 3, 4):
+        bath = BathSpec.from_q(0.5, 12)
+        spec = SystemSpec.ladder(d)
+        for _ in range(3):
+            yield f"haar d={d}", sto_channel(random_blocks(d, 12 + d - 1, rng), spec, bath), spec, True
+    spec3 = SystemSpec.ladder(3)
+    g = sto_population_matrix(random_blocks(3, 12, rng), 0.5)
+    yield "exto-optimal ladder", exto_optimal_channel(g, spec3), spec3, True
+    g4 = np.array([[0.6, 0, 1, 0], [0, 0.6, 0, 1], [0.4, 0, 0, 0], [0, 0.4, 0, 0]])
+    spec4 = SystemSpec.four_level(1, 3)
+    yield "exto-optimal four-level", exto_optimal_channel(g4, spec4), spec4, True
+    for e2 in (1, 2):
+        spec = SystemSpec.four_level(1, e2)
+        yield f"sim-beta-swap e2={e2}", simultaneous_beta_swap_kraus(0.4, e2=e2), spec, True
+    bath = BathSpec.from_q(0.5, 10)
+    spec2 = SystemSpec.ladder(2)
+    a, b = (sto_channel(random_blocks(2, 11, rng), spec2, bath) for _ in range(2))
+    yield "tagged compose", a.compose(b), spec2, True
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    yield "hadamard", KrausChannel((h,)), spec2, False
+    yield "mixed amplitude damping", mixed_amplitude_damping(0.3), spec2, True
+
+
+def test_exact_covariance_agrees_with_sampled_reference(rng):
+    for name, ch, spec, covariant in covariance_cases(rng):
+        exact = verify_covariant(ch, spec, 1e-12)
+        sampled = sampled_covariance_deviation(ch, spec) <= 1e-12
+        assert exact.passed is sampled is covariant, name
+
+
+def test_wrong_shift_tag_fails_covariance():
+    """The identity is covariant, but not as an operator of shift 1."""
+    spec = SystemSpec.ladder(2)
+    assert verify_covariant(KrausChannel((np.eye(2),), (0,)), spec).passed
+    report = verify_covariant(KrausChannel((np.eye(2),), (1,)), spec)
+    assert not report.passed and report.deviation == 1.0
+    assert sampled_covariance_deviation(KrausChannel((np.eye(2),), (1,)), spec) == 0.0
 
 
 def test_verify_rejects_bad_channels():

@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermops.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -21,7 +24,7 @@ class TestVerify:
     def test_sim_beta_swap_passes(self, capsys):
         code, doc = run_json(capsys, ["verify", "sim-beta-swap"])
         assert code == 0
-        assert doc["schema"] == "thermops/3"
+        assert doc["schema"] == "thermops/4"
         assert doc["command"] == "verify"
         assert doc["config"]["channel"] == "sim-beta-swap"
         res = doc["results"]
@@ -180,7 +183,7 @@ class TestOutputPlumbing:
         assert code == 0
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "thermops/3"
+        assert doc["schema"] == "thermops/4"
 
     def test_seed_env_fallback_matches_flag(self, capsys, tmp_path, monkeypatch):
         flagged = tmp_path / "flagged.json"
@@ -217,7 +220,7 @@ class TestOutputPlumbing:
         lines = out.split("\r\n")
         assert lines[0] == "key,value"
         rows = dict(ln.split(",", 1) for ln in lines[1:] if ln)
-        assert rows["schema"] == "thermops/3"
+        assert rows["schema"] == "thermops/4"
         assert rows["results.down.strategy"] == "simultaneous-beta-swap"
         assert float(rows["results.down.bound"]) == pytest.approx(0.25)
 
@@ -266,6 +269,12 @@ class TestConsole:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["results"]["pass"] is False
+
+
+@pytest.mark.parametrize("channel", ["beta-swap", "optimal-qubit", "sim-beta-swap", "exto-optimal"])
+def test_verify_matches_golden_bytes(channel, capsys):
+    assert main(["verify", channel]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"verify_{channel}.json").read_bytes()
 
 
 BAD_INPUT_RUNS = [
