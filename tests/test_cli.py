@@ -277,6 +277,17 @@ def test_verify_matches_golden_bytes(channel, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"verify_{channel}.json").read_bytes()
 
 
+SINGLE_CONE_ARGS = ["--seed", "3", "--samples", "20", "--directions", "12", "--depth", "2", "--truncation", "10"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("which", ["to", "elto", "sto"])
+def test_single_cone_matches_golden_bytes(which, fmt, tmp_path):
+    out = tmp_path / f"cone.{fmt}"
+    assert main(["cone", which, *SINGLE_CONE_ARGS, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"cone_{which}_seed3.{fmt}").read_bytes()
+
+
 BAD_INPUT_RUNS = [
     "cone to --state nan,0.5,0.5",
     "cone to --state inf,0,0",
