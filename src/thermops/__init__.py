@@ -15,7 +15,6 @@ from .core import (
     trace_distance,
 )
 from .channels import (
-    AVectors,
     BlockUnitary,
     KrausChannel,
     TransitionMatrix,
@@ -48,8 +47,6 @@ from .bounds import (
     symmetric_bound,
 )
 from .cones import (
-    ConeApprox,
-    cone_from_json,
     elto_cone_sample,
     hull_margin,
     qubit_cto_check,

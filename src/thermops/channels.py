@@ -19,12 +19,15 @@ sums its squared moduli over n.
 A `KrausChannel` keeps its operators in one read-only (operators, d, d)
 array, so application, composition, the Choi matrix and the population
 dynamics are array expressions over it.  A tagged channel depends only on
-the per-shift Gram matrix sum_K vec(K) vec(K)^dagger.  The assemblers
-(`sto_channel`, `shell_sto_channel`, tagged `KrausChannel.compose`) return
-its canonical form: one Gram eigendecomposition per shift, one operator per
-eigenvector, so a d-level channel carries at most d^2 Kraus operators
-whatever the truncation.  `verify_covariant` reads covariance exactly off
-the Choi matrix: it must vanish between entries of different energy gaps.
+the per-shift Gram matrix sum_K vec(K) vec(K)^dagger.  Both single-mode
+assemblers fill one amplitude array a[k_out, k_in, n]: `sto_channel` from
+`a_vectors`, `shell_sto_channel` with one indexed write per shell of an
+arbitrary grid system.  One tail turns that array into the canonical form,
+and tagged `KrausChannel.compose` returns the same form: one Gram
+eigendecomposition per shift, one operator per eigenvector, so a d-level
+channel carries at most d^2 Kraus operators whatever the truncation.
+`verify_covariant` reads covariance exactly off the Choi matrix: it must
+vanish between entries of different energy gaps.
 
 The mode's Gibbs weights are renormalized over the kept Fock levels, which
 makes every assembled channel exactly trace preserving; the truncation shows
@@ -323,14 +326,23 @@ def transition_matrix(ch: KrausChannel) -> TransitionMatrix:
     return TransitionMatrix((np.abs(ch.kraus) ** 2).sum(axis=0))
 
 
-def _require_resonant_ladder(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec):
-    if spec.d != blocks.d:
-        raise ValueError("block dimension does not match the system")
-    if spec.energies != tuple(bath.epsilon * k for k in range(spec.d)):
-        raise ValueError("system must be a ladder resonant with the mode")
-    need = bath.truncation + spec.d - 1
-    if blocks.top_shell < need:
-        raise ValueError(f"blocks must cover shells 0..{need}, got {blocks.top_shell}")
+def _gap_matrix(spec: SystemSpec) -> np.ndarray:
+    """gap[i, j] = E_i - E_j: the shift of entry (i, j), in grid units."""
+    e = np.asarray(spec.energies)
+    return np.subtract.outer(e, e)
+
+
+def _mode_channel(a: np.ndarray, spec: SystemSpec, epsilon: int) -> KrausChannel:
+    """Canonical channel of the mode amplitudes a[k_out, k_in, n] (Gibbs
+    weight included).  Energy conservation gives E_out - E_in = (n - m) *
+    epsilon, so K_{m,n} is a[..., n] on the entries of that gap, tagged
+    with it; `_canonical_kraus` reduces the K_{m,n}."""
+    d = spec.d
+    gap = _gap_matrix(spec)
+    shifts = np.unique(gap[gap % epsilon == 0])
+    on_shift = gap == shifts[:, None, None]
+    kraus = (a.transpose(2, 0, 1)[:, None] * on_shift).reshape(-1, d, d)
+    return KrausChannel(*_canonical_kraus(kraus, np.tile(shifts, a.shape[2])))
 
 
 def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> KrausChannel:
@@ -341,54 +353,25 @@ def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> Kraus
     for the mode to go n -> m; it shifts every system level by s = n - m.
     Input Fock levels run over the kept range n <= N; every reachable output
     level m <= n + d - 1 is kept, so sum K'K = 1 holds exactly.  The
-    operators K_{m,n} are returned in canonical form: one Gram
-    eigendecomposition per shift, at most d^2 operators.
+    operators come from the `a_vectors` amplitudes, in canonical form.
     """
-    _require_resonant_ladder(blocks, spec, bath)
-    d = spec.d
-    a = a_vectors(blocks, bath).A  # K_{m,n}[i, c] = a[i, c, n] where i - c = n - m
-    shifts = np.arange(1 - d, d)
-    on_shift = np.subtract.outer(np.arange(d), np.arange(d)) == shifts[:, None, None]
-    kraus = (a.transpose(2, 0, 1)[:, None] * on_shift).reshape(-1, d, d)
-    return KrausChannel(*_canonical_kraus(kraus, np.tile(shifts, a.shape[2]) * bath.epsilon))
+    if spec.d != blocks.d:
+        raise ValueError("block dimension does not match the system")
+    if spec.energies != tuple(bath.epsilon * k for k in range(spec.d)):
+        raise ValueError("system must be a ladder resonant with the mode")
+    return _mode_channel(a_vectors(blocks, bath), spec, bath.epsilon)
 
 
-@dataclass(frozen=True, eq=False)
-class AVectors:
-    """Transition amplitude vectors of a ladder channel.
-
-    A[k_out, k_in, n] = sqrt(gamma_n) * U^(k_in + n)[k_out, k_in]: the
-    amplitude for the system to go k_in -> k_out while the mode absorbs the
-    difference, starting from Fock level n.  Row sums of squared norms give
-    the transition probabilities; inner products between vectors give the
-    coherence-transfer coefficients."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.A, dtype=complex)
-        if a.ndim != 3 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected array of shape (d, d, N+1)")
-        norm_dev = np.abs((np.abs(a) ** 2).sum(axis=(0, 2)) - 1.0).max()
-        if not norm_dev <= 1e-10:
-            raise ValueError(f"columns must carry unit weight (deviation {norm_dev:.2e})")
-        a.flags.writeable = False
-        object.__setattr__(self, "A", a)
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
-
-    def transition_probabilities(self) -> np.ndarray:
-        return (np.abs(self.A) ** 2).sum(axis=2)
-
-
-def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> AVectors:
-    """Amplitude vectors of the ladder channel built from these blocks:
-    sqrt(gamma_n) times the `shell_columns` of their stack."""
-    if blocks.top_shell < bath.truncation + blocks.d - 1:
-        raise ValueError("blocks must cover all populated shells")
-    return AVectors(np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1))
+def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> np.ndarray:
+    """Amplitudes A[k_out, k_in, n] = sqrt(gamma_n) U^(k_in + n)[k_out, k_in]
+    of the ladder channel, from the `shell_columns` of the stack: k_in ->
+    k_out with the mode starting in Fock level n.  sum_n |A|^2 gives the
+    transition probabilities, inner products over n the coherence
+    transfers."""
+    need = bath.truncation + blocks.d - 1
+    if blocks.top_shell < need:
+        raise ValueError(f"blocks must cover shells 0..{need}, got {blocks.top_shell}")
+    return np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1)
 
 
 def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: int, j: int) -> complex:
@@ -404,7 +387,7 @@ def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: 
 
         warnings.warn("mode mismatch: i - c != j - d, coefficient is 0", RuntimeWarning, stacklevel=2)
         return 0j
-    av = a_vectors(blocks, bath).A
+    av = a_vectors(blocks, bath)
     return complex(np.sum(av[i, c, :] * np.conj(av[j, d, :])))
 
 
@@ -480,27 +463,19 @@ def shell_sto_channel(spec: SystemSpec, bath: BathSpec, block_for_shell) -> Krau
     the mode.  block_for_shell(energy, states) must return a unitary matrix
     over the given joint states (ordered as passed).
 
-    The per-transition operators K_{m,n} are returned in canonical form:
-    one Gram eigendecomposition per shift, at most d^2 operators."""
-    d, n_keep = spec.d, bath.truncation
-    weights = bath.gibbs_weights()
-    by_mn = {}
+    Column (k_in, n) of a shell block, for kept n <= N, gives the
+    amplitudes a[:, k_in, n] over the shell's output levels; the tail
+    shared with `sto_channel` makes the canonical channel of them."""
+    a = np.zeros((spec.d, spec.d, bath.truncation + 1), dtype=complex)
     for energy, states in _enumerate_shells(spec, bath):
         b = np.asarray(block_for_shell(energy, states), dtype=complex)
         if b.shape != (len(states), len(states)):
             raise ValueError(f"shell at energy {energy} needs a {len(states)}-dim block")
         _check_unitary(b, np.eye(len(states)))
-        for col, (k_in, n_in) in enumerate(states):
-            if n_in > n_keep:
-                continue
-            for row, (k_out, n_out) in enumerate(states):
-                if b[row, col] == 0:
-                    continue
-                k = by_mn.setdefault((n_out, n_in), np.zeros((d, d), dtype=complex))
-                k[k_out, k_in] += b[row, col]
-    kraus = [np.sqrt(weights[n]) * k for (m, n), k in by_mn.items()]
-    shifts = [(n - m) * bath.epsilon for m, n in by_mn]
-    return KrausChannel(*_canonical_kraus(kraus, shifts))
+        k, n = np.array(states).T
+        inp = n <= bath.truncation
+        a[k[:, None], k[inp], n[inp]] = b[:, inp]
+    return _mode_channel(np.sqrt(bath.gibbs_weights()) * a, spec, bath.epsilon)
 
 
 def simultaneous_beta_swap_sto(bath: BathSpec):
@@ -546,12 +521,6 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     # rounds like every other matrix.
     g = np.cumsum(weights * np.abs(shell_columns(blocks.stack, count)) ** 2, axis=-1)[..., -1]
     return g + np.diag(tail)
-
-
-def _gap_matrix(spec: SystemSpec) -> np.ndarray:
-    """gap[i, j] = E_i - E_j: the shift of entry (i, j), in grid units."""
-    e = np.asarray(spec.energies)
-    return np.subtract.outer(e, e)
 
 
 def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:

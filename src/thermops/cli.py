@@ -51,7 +51,6 @@ from .core import (
     require_unit_interval,
 )
 from .cones import (
-    ConeApprox,
     cone_dict,
     elto_cone_sample,
     hull_margin,
@@ -192,31 +191,14 @@ def _parse_state(text: str) -> np.ndarray:
     return require_distribution(vals, "--state")
 
 
-def _build_to(p, gamma, directions):
-    dirs = support_directions(directions)
-    support = tuple((c, to_support(p, gamma, c)) for c in dirs)
-    return ConeApprox(p=p, gamma=gamma, support=support, points=np.empty((0, 3)), provenance=())
-
-
-def _build_elto(p, gamma, depth, samples, seed):
-    points, tags = elto_cone_sample(p, gamma, depth, samples, seed)
-    return ConeApprox(p=p, gamma=gamma, support=(), points=points, provenance=tuple(tags))
-
-
-def _build_sto(p, bath, samples, seed):
-    gamma = gibbs_ladder(3, bath.q)
-    points, tags = sto_cone_sample(p, bath, bath.truncation + 2, samples, seed)
-    return ConeApprox(p=p, gamma=gamma, support=(), points=points, provenance=tuple(tags))
-
-
-def _inclusion_summary(to_cone, elto_cone, sto_cone):
+def _inclusion_summary(p, gamma, support, elto_points, sto_points):
     summary = {}
-    for name, cone in (("elto", elto_cone), ("sto", sto_cone)):
-        residual, margin = inclusion_audit(to_cone, cone.points)
+    for name, points in (("elto", elto_points), ("sto", sto_points)):
+        residual, margin = inclusion_audit(p, gamma, support, points)
         summary[f"{name}_membership_max_residual"] = residual
         summary[f"{name}_support_margin"] = margin
         summary[f"{name}_subset_to"] = bool(residual <= MEMBERSHIP_TOL)
-    margin = hull_margin(sto_cone.points, elto_cone.points)
+    margin = hull_margin(sto_points, elto_points)
     summary["sto_in_elto_hull_margin"] = margin
     summary["sto_subset_elto"] = bool(margin >= HULL_MARGIN_FLOOR)
     return summary
@@ -241,22 +223,19 @@ def cmd_cone(args):
         "seed": seed,
     }
     bath = BathSpec.from_q(q, args.truncation)
-    if args.which == "to":
-        return config, {"to": cone_dict(_build_to(p, gamma, directions))}, 0
-    if args.which == "elto":
-        return config, {"elto": cone_dict(_build_elto(p, gamma, depth, samples, seed))}, 0
-    if args.which == "sto":
-        return config, {"sto": cone_dict(_build_sto(p, bath, samples, seed))}, 0
-    # all: the three cones plus the sampled inclusion audit
-    to_cone = _build_to(p, gamma, directions)
-    elto_cone = _build_elto(p, gamma, depth, samples, seed)
-    sto_cone = _build_sto(p, bath, samples, seed)
-    results = {
-        "to": cone_dict(to_cone),
-        "elto": cone_dict(elto_cone),
-        "sto": cone_dict(sto_cone),
-        "inclusion": _inclusion_summary(to_cone, elto_cone, sto_cone),
-    }
+    everything = args.which == "all"
+    results = {}
+    if everything or args.which == "to":
+        support = tuple((c, to_support(p, gamma, c)) for c in support_directions(directions))
+        results["to"] = cone_dict(p, gamma, support=support)
+    if everything or args.which == "elto":
+        elto_points, tags = elto_cone_sample(p, gamma, depth, samples, seed)
+        results["elto"] = cone_dict(p, gamma, points=elto_points, provenance=tags)
+    if everything or args.which == "sto":
+        sto_points, tags = sto_cone_sample(p, bath, bath.truncation + 2, samples, seed)
+        results["sto"] = cone_dict(p, gibbs_ladder(3, bath.q), points=sto_points, provenance=tags)
+    if everything:
+        results["inclusion"] = _inclusion_summary(p, gamma, support, elto_points, sto_points)
     return config, results, 0
 
 

@@ -10,12 +10,15 @@ cone's vertices are the d! tight points, one per level order, so
 membership and support values are exact up to rounding.  The single-mode
 and two-level restrictions have no such exact description here; they are
 explored by sampling and reported as labeled inner approximations.
+
+A cone is passed around as plain arrays: p, gamma, support samples
+((direction, value), ...) and points with one provenance tag each.
+`inclusion_audit` checks points against the TO cone, and `cone_dict` gives
+the document form.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -153,9 +156,9 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     sequences of random length <= depth, random pairs, retention drawn
     uniformly from its allowed interval.  Returns (points, provenance)."""
     p = require_distribution(p, "p")
-    gamma = require_distribution(gamma, "gamma")
     if p.size != 3:
         raise ValueError("sampler covers qutrits")
+    gamma = require_length(require_distribution(gamma, "gamma"), "gamma", 3)
     depth = require_count(depth, "depth", 1)
     n = require_count(n, "n")
     swaps = _beta_swap_matrices(gamma)
@@ -232,42 +235,17 @@ def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):
     return np.array(points), tags
 
 
-@dataclass(frozen=True, eq=False)
-class ConeApprox:
-    """Outer description (support samples) plus labeled inner points of a
-    population cone."""
-
-    p: np.ndarray
-    gamma: np.ndarray
-    support: tuple  # ((direction, value), ...)
-    points: np.ndarray
-    provenance: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, self.p.size)
-        object.__setattr__(self, "points", pts)
-        if len(self.provenance) != pts.shape[0]:
-            raise ValueError("one provenance tag per point")
-        object.__setattr__(
-            self, "support", tuple((np.asarray(c, dtype=float), float(v)) for c, v in self.support)
-        )
-
-
-def inclusion_audit(outer: ConeApprox, points):
-    """How well a point sample sits inside the TO cone of outer.p.
+def inclusion_audit(p, gamma, support, points):
+    """How well a point sample sits inside the TO cone of p.
 
     Returns (worst membership residual, the largest curve gap over the
-    points; support margin, the minimum over outer's sampled halfspaces of
-    support value minus the largest projection of a point).  A residual
-    near 0 and a nonnegative margin mean every point is inside; both need
-    at least one point and outer needs at least one support sample."""
+    points; support margin, the minimum over the sampled halfspaces
+    ((direction, value), ...) of support value minus the largest projection
+    of a point).  A residual near 0 and a nonnegative margin mean every
+    point is inside; both need at least one point and one support sample."""
     points = np.asarray(points, dtype=float)
-    residual = max(to_membership_residual(x, outer.p, outer.gamma) for x in points)
-    margin = min(value - float((points @ c).max()) for c, value in outer.support)
+    residual = max(to_membership_residual(x, p, gamma) for x in points)
+    margin = min(value - float((points @ c).max()) for c, value in support)
     return residual, margin
 
 
@@ -333,24 +311,15 @@ def hull_margin(inner_points, outer_points) -> float:
     return float(-signed.max())
 
 
-def cone_dict(approx: ConeApprox) -> dict:
-    """JSON-ready dict form of a cone approximation (lossless)."""
+def cone_dict(p, gamma, support=(), points=(), provenance=()) -> dict:
+    """JSON-ready dict of a population cone: its support samples
+    ((direction, value), ...) as the outer description and its labeled
+    points, one provenance tag per point, as the inner one."""
+    if len(provenance) != len(points):
+        raise ValueError("one provenance tag per point")
     return {
-        "p": list(approx.p),
-        "gamma": list(approx.gamma),
-        "support": [{"direction": list(c), "value": v} for c, v in approx.support],
-        "points": [
-            {"provenance": tag, "x": list(x)} for x, tag in zip(approx.points, approx.provenance)
-        ],
+        "p": list(p),
+        "gamma": list(gamma),
+        "support": [{"direction": list(c), "value": v} for c, v in support],
+        "points": [{"provenance": tag, "x": list(x)} for x, tag in zip(points, provenance)],
     }
-
-
-def cone_from_json(text: str) -> ConeApprox:
-    doc = json.loads(text)
-    return ConeApprox(
-        p=np.array(doc["p"]),
-        gamma=np.array(doc["gamma"]),
-        support=tuple((np.array(row["direction"]), row["value"]) for row in doc["support"]),
-        points=np.array([row["x"] for row in doc["points"]]).reshape(len(doc["points"]), -1),
-        provenance=tuple(row["provenance"] for row in doc["points"]),
-    )

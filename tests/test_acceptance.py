@@ -320,7 +320,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
         bu = BlockUnitary(2, (np.array([[phase0[b]]]), *b1[b]))
         kernel_dev = max(
             kernel_dev,
-            np.abs(a_vectors(bu, bath2).A - a[b]).max(),
+            np.abs(a_vectors(bu, bath2) - a[b]).max(),
             np.abs(sto_channel(bu, spec2, bath2).apply(QUBIT_RHO) - out[b]).max(),
             abs(bound[b] - symmetric_bound(QUBIT_RHO, g[b], spec2, 1, 0)),
         )
@@ -347,7 +347,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
         bu = BlockUnitary(3, (np.array([[phase0[b]]]), b1[b], *b2[b]))
         kernel_dev = max(
             kernel_dev,
-            np.abs(a_vectors(bu, bath3).A - a[b]).max(),
+            np.abs(a_vectors(bu, bath3) - a[b]).max(),
             np.abs(sto_channel(bu, spec3, bath3).apply(QUTRIT_RHO) - out[b]).max(),
             max(
                 abs(bounds3[i, j][b] - symmetric_bound(QUTRIT_RHO, g[b], spec3, i, j))

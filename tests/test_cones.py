@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import permutations
 
@@ -13,10 +12,8 @@ from thermops.core import BathSpec, gibbs_ladder
 from thermops.channels import random_blocks, sto_population_matrix
 from thermops.cli import _cone_csv
 from thermops.cones import (
-    ConeApprox,
     _hull_vertices,
     cone_dict,
-    cone_from_json,
     elto_cone_sample,
     hull_margin,
     inclusion_audit,
@@ -304,6 +301,9 @@ class TestEltoSample:
             elto_cone_sample(np.array([0.5, 0.3, 0.2]), qutrit_gamma, 0, 1, 0)
         with pytest.raises(ValueError):
             elto_cone_sample(np.array([0.5, 0.3, 0.2]), qutrit_gamma, 2, -1, 0)
+        four = gibbs_ladder(4, 0.5)
+        with pytest.raises(ValueError, match=r"^gamma must be a vector of 3 entries, got shape \(4,\)$"):
+            elto_cone_sample(np.array([0.5, 0.3, 0.2]), four, 2, 1, 0)
 
 
 class TestStoSample:
@@ -400,55 +400,40 @@ class TestHullMargin:
 
 
 class TestConeApprox:
+    """A cone as arrays: TO support samples outside, ElTO points inside."""
+
     def build(self, fig_state, qutrit_gamma, n=4):
         points, tags = elto_cone_sample(fig_state, qutrit_gamma, depth=2, n=n, seed=2)
-        support = tuple(
-            (c, to_support(fig_state, qutrit_gamma, c)) for c in support_directions(24)
-        )
-        return ConeApprox(fig_state, qutrit_gamma, support, points, tuple(tags))
+        support = tuple((c, to_support(fig_state, qutrit_gamma, c)) for c in support_directions(24))
+        return support, points, tags
 
     def test_inclusion_audit_ok(self, fig_state, qutrit_gamma):
-        approx = self.build(fig_state, qutrit_gamma)
-        residual, margin = inclusion_audit(approx, approx.points)
+        support, points, _ = self.build(fig_state, qutrit_gamma)
+        residual, margin = inclusion_audit(fig_state, qutrit_gamma, support, points)
         assert residual <= 1e-8
         assert margin >= -1e-8
 
     def test_inclusion_audit_flags_outsider(self, fig_state, qutrit_gamma):
-        approx = self.build(fig_state, qutrit_gamma)
-        bad = ConeApprox(
-            fig_state,
-            qutrit_gamma,
-            approx.support,
-            np.vstack([approx.points, [1.0, 0.0, 0.0]]),
-            approx.provenance + ("intruder",),
-        )
-        residual, margin = inclusion_audit(bad, bad.points)
+        support, points, _ = self.build(fig_state, qutrit_gamma)
+        bad = np.vstack([points, [1.0, 0.0, 0.0]])
+        residual, margin = inclusion_audit(fig_state, qutrit_gamma, support, bad)
         assert residual > 1e-8
         assert margin < -1e-8
 
     def test_provenance_length_validation(self, fig_state, qutrit_gamma):
-        with pytest.raises(ValueError):
-            ConeApprox(fig_state, qutrit_gamma, (), np.eye(3), ("a", "b"))
-
-    def test_json_round_trip(self, fig_state, qutrit_gamma):
-        approx = self.build(fig_state, qutrit_gamma)
-        back = cone_from_json(json.dumps(cone_dict(approx)))
-        assert np.allclose(back.p, approx.p)
-        assert np.allclose(back.gamma, approx.gamma)
-        assert np.allclose(back.points, approx.points)
-        assert back.provenance == approx.provenance
-        assert len(back.support) == len(approx.support)
-        for (c1, v1), (c2, v2) in zip(back.support, approx.support):
-            assert np.allclose(c1, c2)
-            assert v1 == pytest.approx(v2, abs=0)
+        with pytest.raises(ValueError, match="^one provenance tag per point$"):
+            cone_dict(fig_state, qutrit_gamma, points=np.eye(3), provenance=("a", "b"))
+        with pytest.raises(ValueError, match="^one provenance tag per point$"):
+            cone_dict(fig_state, qutrit_gamma, provenance=("a",))
 
     def test_csv_shape(self, fig_state, qutrit_gamma):
-        approx = self.build(fig_state, qutrit_gamma, n=2)
-        text = _cone_csv({"to": cone_dict(approx)})
+        support, points, tags = self.build(fig_state, qutrit_gamma, n=2)
+        doc = cone_dict(fig_state, qutrit_gamma, support, points, tags)
+        text = _cone_csv({"to": doc})
         lines = text.split("\r\n")
         assert lines[0] == "kind,x0,x1,x2,value,provenance"
         assert sum(ln.startswith("support,") for ln in lines) == 24
-        assert sum(ln.startswith("point,") for ln in lines) == approx.points.shape[0]
+        assert sum(ln.startswith("point,") for ln in lines) == points.shape[0]
         assert "np.float64" not in text
 
 
