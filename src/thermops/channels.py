@@ -8,9 +8,9 @@ operators labeled by the mode transition n -> m; such a Kraus operator moves
 every system level up by s = n - m rungs, so it carries a single energy-shift
 tag and the channel is automatically covariant under free evolution.
 
-A `BlockUnitary` keeps its shell blocks in one read-only, zero-padded
-(shells, d, d) `stack`, checked for unitarity once for the whole stack.
-One kernel reads the ladder amplitudes out of it: `shell_columns` gathers
+A `BlockUnitary` is one read-only, zero-padded (shells, d, d) `stack`, its
+only field, checked once for zero padding and unitarity.  One kernel reads
+the ladder amplitudes out of it: `shell_columns` gathers
 U[k_out, k_in, n] = stack[k_in + n, k_out, k_in], the column of |k_in, n>
 in its shell, with one array slice per input level (and over any leading
 batch axes).  `a_vectors` weights it by sqrt(gamma_n); `sto_population_matrix`
@@ -38,7 +38,8 @@ Fock levels are kept (up to N + d - 1), never clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,52 +69,41 @@ def _check_unitary(u: np.ndarray, identity: np.ndarray, tol: float = UNITARY_TOL
         raise ValueError(f"block is not unitary (deviation {dev:.2e})")
 
 
-def _shell_views(stack: np.ndarray) -> tuple:
-    """The per-shell blocks of a zero-padded (shells, d, d) stack, as views:
-    shell j keeps its leading min(d, j+1) rows and columns."""
-    d = stack.shape[1]
-    return tuple(stack[j, : j + 1, : j + 1] for j in range(min(len(stack), d - 1))) + tuple(stack[d - 1 :])
-
-
 @dataclass(frozen=True, eq=False)
 class BlockUnitary:
     """Shell blocks of an energy-conserving joint unitary on a d-level
-    ladder plus one resonant mode.  blocks[j] acts on shell j (total energy
-    j quanta) and has dimension min(d, j+1); row/column k corresponds to the
-    joint basis state |k, j-k>.
+    ladder plus one resonant mode, as one zero-padded stack.
 
-    `stack` holds every block in one read-only complex array of shape
-    (shells, d, d), zero-padded below and right of partial shells; `blocks`
-    are views into it.  Unitarity is checked once over the whole stack:
-    stack[j]^dagger stack[j] must be the identity on shell j's min(d, j+1)
-    levels, to UNITARY_TOL."""
+    stack[j] is the block of shell j (total energy j quanta): its leading
+    min(d, j+1) rows and columns act on the joint states |k, j-k>, and
+    every entry outside them is zero.  The input is copied to a read-only
+    complex array of shape (shells, d, d), d >= 1 (zero shells is allowed),
+    and checked once: the padding must be zero (NaN fails), and each
+    stack[j]^dagger stack[j] must be the identity on shell j's levels."""
 
-    d: int
-    blocks: tuple
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray
 
     def __post_init__(self):
-        d = require_count(self.d, "d", 1)
-        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        stack = np.zeros((len(blocks), d, d), dtype=complex)
-        for j, b in enumerate(blocks):
-            want = min(d, j + 1)
-            if b.shape != (want, want):
-                raise ValueError(f"shell {j} block must be {want}x{want}, got {b.shape}")
-            if want < d:
-                stack[j, :want, :want] = b
-        if len(blocks) >= d:
-            stack[d - 1 :] = blocks[d - 1 :]
-        in_shell = np.arange(d) <= np.arange(len(blocks))[:, None]  # level k lies in shell j
+        stack = np.array(self.stack, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+            raise ValueError(f"stack must have shape (shells, d, d) with d >= 1, got {stack.shape}")
+        shells, d = stack.shape[:2]
+        in_shell = np.arange(d) <= np.arange(shells)[:, None]  # level k lies in shell j
+        outside = ~(in_shell[:, :, None] & in_shell[:, None, :])
+        bad = np.flatnonzero(((stack != 0) & outside).any(axis=(1, 2)))  # NaN != 0 as well
+        if bad.size:
+            raise ValueError(f"shell {bad[0]} is nonzero outside its {bad[0] + 1}x{bad[0] + 1} block")
         _check_unitary(stack, np.eye(d) * in_shell[:, None])
         stack.flags.writeable = False
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "blocks", _shell_views(stack))
+
+    @property
+    def d(self) -> int:
+        return self.stack.shape[1]
 
     @property
     def top_shell(self) -> int:
-        return len(self.blocks) - 1
+        return len(self.stack) - 1
 
 
 def shell_columns(stack: np.ndarray, count: int) -> np.ndarray:
@@ -135,11 +125,14 @@ def permutation_blocks(d: int, top_shell: int, perm) -> BlockUnitary:
     """Shell blocks realizing a level permutation: full shells apply it,
     partial shells stay identity unless the permutation preserves them."""
     d = require_count(d, "d", 1)
-    top_shell = require_count(top_shell, "top_shell")
+    shells = require_count(top_shell, "top_shell") + 1
     perm = require_levels(perm, "perm", d, d)
     full = np.eye(d, dtype=complex)[:, perm]  # column k holds a 1 in row perm[k]
-    partial = tuple(full[:s, :s] if max(perm[:s]) < s else np.eye(s) for s in range(1, d))
-    return BlockUnitary(d, partial[: top_shell + 1] + (full,) * (top_shell + 2 - d))
+    stack = np.zeros((shells, d, d), dtype=complex)
+    stack[d - 1 :] = full
+    for s in range(1, min(shells + 1, d)):  # partial shell s - 1 holds s levels
+        stack[s - 1, :s, :s] = full[:s, :s] if max(perm[:s]) < s else np.eye(s)
+    return BlockUnitary(stack)
 
 
 def damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
@@ -154,11 +147,12 @@ def damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
     c = np.array([r ** (j / 2.0) for j in range(shells)])
     s = np.array([math.sqrt(max(0.0, 1.0 - r**j)) for j in range(shells)])
     turn = np.arange(shells) >= max(i, k)
-    stack = np.tile(np.eye(d, dtype=complex), (shells, 1, 1))
+    in_shell = np.arange(d) <= np.arange(shells)[:, None]
+    stack = (np.eye(d) * in_shell[:, None]).astype(complex)  # the identity on every shell
     stack[turn, i, i] = stack[turn, k, k] = c[turn]
     stack[turn, i, k] = s[turn]
     stack[turn, k, i] = -s[turn]
-    return BlockUnitary(d, _shell_views(stack))
+    return BlockUnitary(stack)
 
 
 def identity_blocks(d: int, top_shell: int) -> BlockUnitary:
@@ -174,10 +168,13 @@ def haar_stack(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
 
 
 def random_blocks(d: int, top_shell: int, rng: np.random.Generator) -> BlockUnitary:
-    """Independent Haar-random shell blocks, one `haar_stack` draw per shell."""
+    """Independent Haar-random shell blocks, one `haar_stack` draw per shell, in shell order."""
     d = require_count(d, "d", 1)
-    top_shell = require_count(top_shell, "top_shell")
-    return BlockUnitary(d, tuple(haar_stack(rng, 1, min(d, j + 1))[0] for j in range(top_shell + 1)))
+    shells = require_count(top_shell, "top_shell") + 1
+    stack = np.zeros((shells, d, d), dtype=complex)
+    for j in range(shells):  # a slice past d stops at d
+        stack[j, : j + 1, : j + 1] = haar_stack(rng, 1, min(d, j + 1))[0]
+    return BlockUnitary(stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +380,6 @@ def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: 
     be a level of range(blocks.d)."""
     c, d, i, j = (require_levels((k,), name, blocks.d, 1)[0] for name, k in zip("cdij", (c, d, i, j)))
     if i - c != j - d:
-        import warnings
-
         warnings.warn("mode mismatch: i - c != j - d, coefficient is 0", RuntimeWarning, stacklevel=2)
         return 0j
     av = a_vectors(blocks, bath)

@@ -59,6 +59,13 @@ def _curve_at(t, p, gamma):
     return np.interp(t, *_curve(p, gamma))
 
 
+def _require_points(v, name):
+    """v as a finite float array of n >= 1 rows of 3 entries."""
+    if np.shape(v)[1:] != (3,) or not len(v):
+        raise ValueError(f"{name} must be an (n, 3) array with n >= 1, got shape {np.shape(v)}")
+    return require_finite(v, name)
+
+
 def _require_cone_inputs(p, gamma, v, name):
     p = require_distribution(p, "p")
     d = p.size
@@ -155,9 +162,7 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     exchanges up to the given depth (the corner words).  Random part: n
     sequences of random length <= depth, random pairs, retention drawn
     uniformly from its allowed interval.  Returns (points, provenance)."""
-    p = require_distribution(p, "p")
-    if p.size != 3:
-        raise ValueError("sampler covers qutrits")
+    p = require_length(require_distribution(p, "p"), "p", 3)  # the sampler covers qutrits
     gamma = require_length(require_distribution(gamma, "gamma"), "gamma", 3)
     depth = require_count(depth, "depth", 1)
     n = require_count(n, "n")
@@ -204,9 +209,7 @@ def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):
     pair permutations, both cycles); the n random draws then rotate through
     Haar blocks, random permutations and one-pair damping families.
     Returns (points, provenance)."""
-    p = require_distribution(p, "p")
-    if p.size != 3:
-        raise ValueError("sampler covers qutrits")
+    p = require_length(require_distribution(p, "p"), "p", 3)  # the sampler covers qutrits
     top_shell = require_count(top_shell, "top_shell", bath.truncation + 2)
     n = require_count(n, "n")
     q = bath.q
@@ -242,8 +245,10 @@ def inclusion_audit(p, gamma, support, points):
     points; support margin, the minimum over the sampled halfspaces
     ((direction, value), ...) of support value minus the largest projection
     of a point).  A residual near 0 and a nonnegative margin mean every
-    point is inside; both need at least one point and one support sample."""
-    points = np.asarray(points, dtype=float)
+    point is inside; both need n >= 1 finite points and support samples."""
+    points = _require_points(points, "points")
+    _require_points([c for c, _ in support], "support directions")
+    require_finite([value for _, value in support], "support values")
     residual = max(to_membership_residual(x, p, gamma) for x in points)
     margin = min(value - float((points @ c).max()) for c, value in support)
     return residual, margin
@@ -286,9 +291,9 @@ def hull_margin(inner_points, outer_points) -> float:
     inner points of each point's signed distance to its nearest facet.
     Positive: every point strictly inside; negative: some inner point
     sticks out by that distance.  Degenerate outer hulls (segment or point)
-    are handled directly."""
-    inner = plane_coordinates(inner_points)
-    outer = plane_coordinates(outer_points)
+    are handled directly; both samples need n >= 1 finite rows of 3."""
+    inner = plane_coordinates(_require_points(inner_points, "inner_points"))
+    outer = plane_coordinates(_require_points(outer_points, "outer_points"))
     center = outer.mean(axis=0)
     spread = outer - center
     svals = np.linalg.svd(spread, compute_uv=False) if len(outer) > 1 else np.zeros(2)

@@ -308,7 +308,8 @@ def test_05_mode_transfer_bound_sweep(capsys):
     batch = 5000
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch * (n_keep + 1), 2).reshape(batch, n_keep + 1, 2, 2)
-    a = np.sqrt(w) * shell_columns(qubit_stack(phase0, b1), len(w))
+    stacks = qubit_stack(phase0, b1)
+    a = np.sqrt(w) * shell_columns(stacks, len(w))
     g = (np.abs(a) ** 2).sum(axis=3)
     out = grid_apply(a, QUBIT_RHO)
     bound = abs(QUBIT_RHO[1, 0]) * np.sqrt(g[:, 1, 1] * g[:, 0, 0])
@@ -317,7 +318,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
     bath2 = BathSpec.from_q(q, n_keep)
     spec2 = SystemSpec.ladder(2)
     for b in range(3):
-        bu = BlockUnitary(2, (np.array([[phase0[b]]]), *b1[b]))
+        bu = BlockUnitary(stacks[b])
         kernel_dev = max(
             kernel_dev,
             np.abs(a_vectors(bu, bath2) - a[b]).max(),
@@ -330,7 +331,8 @@ def test_05_mode_transfer_bound_sweep(capsys):
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
     b2 = haar_stack(rng, batch * (n_keep + 1), 3).reshape(batch, n_keep + 1, 3, 3)
-    a = np.sqrt(w) * shell_columns(qutrit_stack(phase0, b1, b2), len(w))
+    stacks = qutrit_stack(phase0, b1, b2)
+    a = np.sqrt(w) * shell_columns(stacks, len(w))
     g = (np.abs(a) ** 2).sum(axis=3)
     out = grid_apply(a, QUTRIT_RHO)
     mode_pairs = {(1, 0): ((1, 0), (2, 1)), (2, 1): ((1, 0), (2, 1)), (2, 0): ((2, 0),)}
@@ -344,7 +346,7 @@ def test_05_mode_transfer_bound_sweep(capsys):
     bath3 = BathSpec.from_q(q, n_keep)
     spec3 = SystemSpec.ladder(3)
     for b in range(3):
-        bu = BlockUnitary(3, (np.array([[phase0[b]]]), b1[b], *b2[b]))
+        bu = BlockUnitary(stacks[b])
         kernel_dev = max(
             kernel_dev,
             np.abs(a_vectors(bu, bath3) - a[b]).max(),
@@ -492,11 +494,10 @@ def test_09_overlap_bound_sweep(capsys):
     b2s[0, : j_small - 1] = haar_stack(rng, j_small - 1, 3)
     a_small = np.sqrt(w_small) * shell_columns(qutrit_stack(ph, b1s, b2s), len(w_small))
     kernel_out = grid_apply(a_small, rho)[0] + q ** (j_small + 1) * rho
-    blocks = [np.array([[ph[0]]]), b1s[0]] + [
-        b2s[0, s] if s < j_small - 1 else np.eye(3) for s in range(n_deep + 1)
-    ]
+    b2_deep = np.broadcast_to(np.eye(3, dtype=complex), (1, n_deep + 1, 3, 3)).copy()
+    b2_deep[0, : j_small + 1] = b2s[0]
     bath = BathSpec.from_q(q, n_deep)
-    ref = sto_channel(BlockUnitary(3, tuple(blocks)), SystemSpec.ladder(3), bath).apply(rho)
+    ref = sto_channel(BlockUnitary(qutrit_stack(ph, b1s, b2_deep)[0]), SystemSpec.ladder(3), bath).apply(rho)
     kernel_dev = np.abs(ref - kernel_out).max()
 
     best_down = lower.max() / bounds["down"]

@@ -63,48 +63,63 @@ def test_haar_stack_deterministic():
 
 
 def test_block_unitary_validation(rng):
-    with pytest.raises(ValueError):
-        BlockUnitary(2, (np.eye(2),))  # shell 0 must be 1x1
-    with pytest.raises(ValueError):
-        BlockUnitary(2, (np.eye(1), np.array([[1.0, 0.0], [1.0, 1.0]])))
-    with pytest.raises(ValueError):
-        BlockUnitary(2, (np.full((1, 1), np.nan), np.full((2, 2), np.nan)))
     bu = identity_blocks(3, 7)
-    assert bu.top_shell == 7
-    assert bu.blocks[5].shape == (3, 3)
-    assert bu.blocks[1].shape == (2, 2)
+    assert bu.d == 3 and bu.top_shell == 7 and bu.stack.shape == (8, 3, 3)
+    qubit = np.zeros((2, 2, 2))
+    qubit[0, 0, 0] = 1.0
+    qubit[1] = [[1.0, 0.0], [1.0, 1.0]]  # shell 1 is not unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        BlockUnitary(qubit)
+    qubit[1] = np.eye(2)
+    qubit[0, 0, 0] = np.nan  # NaN inside shell 0's block
+    with pytest.raises(ValueError, match="not unitary"):
+        BlockUnitary(qubit)
 
     # one stacked check covers partial shells, deep full shells and NaN
-    good = list(random_blocks(3, 40, rng).blocks)
-    partial = list(good)
-    partial[1] = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])  # shell 1 of 3 levels holds 2
-    deep = list(good)
+    good = random_blocks(3, 40, rng).stack
+    partial, deep, nan = good.copy(), good.copy(), good.copy()
+    partial[1, :2, :2] = np.diag([1.0, 1.0 + 1e-9])  # shell 1 of 3 levels holds 2
     deep[30] = good[30] @ np.diag([1.0, 1.0, 1.0 + 1e-9])
-    nan = list(good)
-    nan[30] = np.full((3, 3), np.nan)
-    for blocks in (partial, deep, nan):
+    nan[30] = np.nan
+    for stack in (partial, deep, nan):
         with pytest.raises(ValueError, match="not unitary"):
-            BlockUnitary(3, tuple(blocks))
-    ragged = list(good)
-    ragged[30] = np.eye(2)
-    with pytest.raises(ValueError, match="shell 30 block must be 3x3"):
-        BlockUnitary(3, tuple(ragged))
+            BlockUnitary(stack)
+
+    # partial shell j keeps its leading (j+1)x(j+1) block; the padding is zero
+    for value in (1e-300, np.nan):
+        padded = good.copy()
+        padded[1, 2, 0] = value
+        with pytest.raises(ValueError, match=r"^shell 1 is nonzero outside its 2x2 block$"):
+            BlockUnitary(padded)
+    with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
+        BlockUnitary(np.eye(2)[None])  # shell 0 holds one level
+    with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
+        BlockUnitary([[[0.0, 0.0], [1.0, 0.0]]])  # unitary columns, but not on shell 0
+
+    for shape in ((3, 3), (2, 3, 2), (2, 0, 0), (2, 3, 3, 1)):
+        with pytest.raises(ValueError, match=r"^stack must have shape \(shells, d, d\) with d >= 1"):
+            BlockUnitary(np.zeros(shape))
 
 
 def test_block_unitary_stack(rng):
     bu = random_blocks(3, 6, rng)
     assert bu.stack.shape == (7, 3, 3) and bu.stack.dtype == complex
-    for j, blk in enumerate(bu.blocks):
-        size = blk.shape[0]
-        assert np.array_equal(bu.stack[j, :size, :size], blk)
-        assert not bu.stack[j, size:].any() and not bu.stack[j, :, size:].any()
+    assert bu.d == 3 and bu.top_shell == 6
+    for j in range(2):  # the partial shells
+        assert not bu.stack[j, j + 1 :].any() and not bu.stack[j, :, j + 1 :].any()
     with pytest.raises(ValueError):
         bu.stack[3, 0, 0] = 2.0
-    with pytest.raises(ValueError):
-        bu.blocks[3][0, 0] = 2.0  # the blocks are views into the stack
 
-    empty = BlockUnitary(3, ())
-    assert empty.top_shell == -1 and empty.stack.shape == (0, 3, 3)
+    # the stack is a read-only copy of the input
+    source = np.array(bu.stack)
+    copy = BlockUnitary(source)
+    source[3] = 0.0
+    assert np.array_equal(copy.stack, bu.stack) and not copy.stack.flags.writeable
+    real = BlockUnitary(identity_blocks(2, 3).stack.real)
+    assert real.stack.dtype == complex and np.array_equal(real.stack, identity_blocks(2, 3).stack)
+
+    empty = BlockUnitary(np.zeros((0, 3, 3)))
+    assert empty.d == 3 and empty.top_shell == -1 and empty.stack.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -329,8 +344,8 @@ def test_sto_channel_matches_raw_kraus(d, rng):
     bath = BathSpec.from_q(0.5, N_KEEP)
     blocks = random_blocks(d, N_KEEP + d - 1, rng)
     spec = SystemSpec.ladder(d)
-    # on a unit-spaced ladder the shell at energy j is shell block j
-    raw = raw_shell_channel(spec, bath, lambda energy, states: blocks.blocks[energy])
+    # on a unit-spaced ladder the shell at energy j is stack[j], states in level order
+    raw = raw_shell_channel(spec, bath, lambda e, st: blocks.stack[e, : len(st), : len(st)])
     assert_same_channel(sto_channel(blocks, spec, bath), raw, rng)
 
 
@@ -348,7 +363,9 @@ def test_compose_matches_raw_kraus(rng):
     bath = BathSpec.from_q(0.5, 10)
     spec = SystemSpec.ladder(3)
     blocks = [random_blocks(3, 12, rng) for _ in range(2)]
-    a, b = (raw_shell_channel(spec, bath, lambda e, st, bu=bu: bu.blocks[e]) for bu in blocks)
+    a, b = (
+        raw_shell_channel(spec, bath, lambda e, st, bu=bu: bu.stack[e, : len(st), : len(st)]) for bu in blocks
+    )
     raw = KrausChannel(
         tuple(x @ y for x in a.kraus for y in b.kraus), tuple(sx + sy for sx in a.shifts for sy in b.shifts)
     )
@@ -498,7 +515,8 @@ def test_sto_population_matrix_tail_below_full_shells(rng):
     g = sto_population_matrix(random_blocks(4, 1, rng), 0.5)
     assert np.abs(g.sum(axis=0) - 1.0).max() <= 1e-15
     assert np.array_equal(g[:, 2:], np.eye(4)[:, 2:])
-    assert np.array_equal(sto_population_matrix(BlockUnitary(4, ()), 0.5), np.eye(4))  # no shells
+    no_shells = BlockUnitary(np.zeros((0, 4, 4)))
+    assert np.array_equal(sto_population_matrix(no_shells, 0.5), np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +573,23 @@ def test_block_families_match_per_shell_construction(d, rng):
         for _ in range(4):
             perm = tuple(int(k) for k in rng.permutation(d))
             ref = loop_permutation_blocks(d, top, perm)
-            got = permutation_blocks(d, top, perm).blocks
-            assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert np.array_equal(permutation_blocks(d, top, perm).stack, ref)
             if d >= 2:
                 pair = tuple(int(k) for k in rng.choice(d, 2, replace=False))
                 for r in (0.0, float(rng.uniform()), 1.0):
                     ref = loop_damping_blocks(d, top, pair, r)
-                    got = damping_blocks(d, top, pair, r).blocks
-                    assert len(got) == len(ref)
-                    for a, b in zip(got, ref):
-                        assert np.array_equal(a, b)
-                        assert np.array_equal(np.signbit(a.real), np.signbit(b))  # -0.0 kept
+                    got = damping_blocks(d, top, pair, r).stack
+                    assert np.array_equal(got, ref)
+                    assert np.array_equal(np.signbit(got.real), np.signbit(ref))  # -0.0 kept
+        # Haar blocks: one single-matrix draw per shell, in shell order
+        seed = int(rng.integers(2**32))
+        got = random_blocks(d, top, np.random.Generator(np.random.Philox(seed))).stack
+        ref_rng = np.random.Generator(np.random.Philox(seed))
+        assert got.shape == (top + 1, d, d)
+        for j in range(top + 1):
+            size = min(d, j + 1)
+            assert np.array_equal(got[j, :size, :size], haar_stack(ref_rng, 1, size)[0])
+            assert not got[j, size:].any() and not got[j, :, size:].any()
 
 
 def test_exto_optimal_channel(rng):

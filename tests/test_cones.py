@@ -304,6 +304,8 @@ class TestEltoSample:
         four = gibbs_ladder(4, 0.5)
         with pytest.raises(ValueError, match=r"^gamma must be a vector of 3 entries, got shape \(4,\)$"):
             elto_cone_sample(np.array([0.5, 0.3, 0.2]), four, 2, 1, 0)
+        with pytest.raises(ValueError, match=r"^p must be a vector of 3 entries, got shape \(3, 1\)$"):
+            elto_cone_sample(np.array([[0.5], [0.3], [0.2]]), qutrit_gamma, 2, 1, 0)
 
 
 class TestStoSample:
@@ -345,6 +347,8 @@ class TestStoSample:
             sto_cone_sample(np.ones(4) / 4, self.bath, top_shell=12, n=1, seed=0)
         with pytest.raises(ValueError):
             sto_cone_sample(fig_state, self.bath, top_shell=12, n=-5, seed=0)
+        with pytest.raises(ValueError, match=r"^p must be a vector of 3 entries, got shape \(3, 1\)$"):
+            sto_cone_sample(fig_state[:, None], self.bath, top_shell=12, n=1, seed=0)
 
 
 class TestHullMargin:
@@ -390,6 +394,22 @@ class TestHullMargin:
         inner = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
         assert hull_margin(inner, outer) == pytest.approx(-math.sqrt(0.18), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "inner, outer, message",
+        [
+            ([[np.nan, 0.5, 0.5]], np.eye(3), "inner_points must be finite"),
+            ([[np.inf, 0.5, 0.5]], np.eye(3), "inner_points must be finite"),
+            (np.zeros((0, 3)), np.eye(3), r"inner_points must be an \(n, 3\) array"),
+            ([[0.5, 0.3, 0.2]], [[np.nan, 0.0, 1.0], [1.0, 0.0, 0.0]], "outer_points must be finite"),
+            ([0.5, 0.3, 0.2], np.eye(3), r"inner_points must be an \(n, 3\) array"),
+            ([[0.5, 0.5]], np.eye(3), r"inner_points must be an \(n, 3\) array"),
+        ],
+        ids=["nan-inner", "inf-inner", "empty-inner", "nan-outer", "vector-inner", "two-column-inner"],
+    )
+    def test_validation(self, inner, outer, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            hull_margin(np.array(inner), np.array(outer))
+
     def test_hull_vertices_match_scipy(self, rng):
         spatial = pytest.importorskip("scipy.spatial")
         pts = rng.standard_normal((300, 2))
@@ -419,6 +439,20 @@ class TestConeApprox:
         residual, margin = inclusion_audit(fig_state, qutrit_gamma, support, bad)
         assert residual > 1e-8
         assert margin < -1e-8
+
+    def test_inclusion_audit_validation(self, fig_state, qutrit_gamma):
+        support, points, _ = self.build(fig_state, qutrit_gamma)
+        bad_value = support[:-1] + ((support[-1][0], np.nan),)
+        cases = [
+            ((), points, r"^support directions must be an \(n, 3\) array"),
+            (support, np.zeros((0, 3)), r"^points must be an \(n, 3\) array"),
+            (support, np.vstack([points, [np.nan, 0.5, 0.5]]), "^points must be finite"),
+            (support, points[:, :2], r"^points must be an \(n, 3\) array"),
+            (bad_value, points, "^support values must be finite"),
+        ]
+        for sup, pts, message in cases:
+            with pytest.raises(ValueError, match=message):
+                inclusion_audit(fig_state, qutrit_gamma, sup, pts)
 
     def test_provenance_length_validation(self, fig_state, qutrit_gamma):
         with pytest.raises(ValueError, match="^one provenance tag per point$"):
