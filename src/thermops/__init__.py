@@ -7,7 +7,6 @@ resulting coherence limits and population cones.
 
 from .core import (
     BathSpec,
-    DensityMatrix,
     SystemSpec,
     gibbs_state,
     populations,
@@ -17,7 +16,6 @@ from .core import (
 from .channels import (
     BlockUnitary,
     KrausChannel,
-    TransitionMatrix,
     a_vectors,
     beta_swap_qubit,
     choi_distance,

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemSpec, _as_matrix, require_finite, require_levels, require_unit_interval
-from .channels import KrausChannel, TransitionMatrix, qubit_retentions, transition_matrix
+from .core import SystemSpec, require_finite, require_levels, require_unit_interval
+from .channels import KrausChannel, qubit_retentions, transition_matrix
 
 
 def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
     for any channel covariant under free evolution:
     sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d]).
-    i and j must be levels of the system; rho and a raw G must be finite."""
-    m = _as_matrix(rho)
-    g = G.G if isinstance(G, TransitionMatrix) else np.asarray(G, dtype=float)
+    i and j must be levels of the system; rho and G must be finite."""
+    m = np.asarray(rho)
+    g = np.asarray(G, dtype=float)
     if m.shape[0] != spec.d or g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
     if not np.isfinite(m).all():

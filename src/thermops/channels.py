@@ -29,6 +29,12 @@ channel carries at most d^2 Kraus operators whatever the truncation.
 `verify_covariant` reads covariance exactly off the Choi matrix: it must
 vanish between entries of different energy gaps.
 
+States and population dynamics are plain arrays: `transition_matrix` and
+`sto_population_matrix` return G[k_out, k_in] as a float (d, d) array.
+Where one comes from the caller it is checked once, on entry:
+`verify_gibbs_preserving` passes gamma through `require_density`, and
+`exto_optimal_channel` passes G through `require_stochastic`.
+
 The mode's Gibbs weights are renormalized over the kept Fock levels, which
 makes every assembled channel exactly trace preserving; the truncation shows
 up only as an O(q^(N+1)) Gibbs-preservation error.  All reachable output
@@ -46,12 +52,12 @@ import numpy as np
 from .core import (
     NEG_FLOOR,
     BathSpec,
-    DensityMatrix,
     SystemSpec,
-    _as_matrix,
     require_count,
+    require_density,
     require_finite,
     require_levels,
+    require_stochastic,
     require_unit_interval,
     trace_distance,
 )
@@ -222,7 +228,7 @@ class KrausChannel:
 
     def apply(self, rho) -> np.ndarray:
         k = self.kraus
-        return (k @ _as_matrix(rho) @ k.conj().swapaxes(1, 2)).sum(axis=0)
+        return (k @ np.asarray(rho) @ k.conj().swapaxes(1, 2)).sum(axis=0)
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """self after other (self o other).
@@ -289,38 +295,10 @@ def cptp_deviation(ch: KrausChannel) -> float:
     return max(tp, cp)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Column-stochastic population-dynamics matrix: G[k_out, k_in]."""
-
-    G: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.G, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("transition matrix must be square")
-        require_finite(g, "transition probabilities", low=NEG_FLOOR)
-        colsum_dev = np.abs(g.sum(axis=0) - 1.0).max()
-        if colsum_dev > COMPLETENESS_TOL:
-            raise ValueError(f"columns must sum to 1 (deviation {colsum_dev:.2e})")
-        g.flags.writeable = False
-        object.__setattr__(self, "G", g)
-
-    @property
-    def d(self) -> int:
-        return self.G.shape[0]
-
-    def gibbs_deviation(self, gamma) -> float:
-        gamma = np.asarray(gamma, dtype=float)
-        return float(np.abs(self.G @ gamma - gamma).sum())
-
-    def is_gibbs_stochastic(self, gamma, tol: float = 1e-9) -> bool:
-        return self.gibbs_deviation(gamma) <= tol
-
-
-def transition_matrix(ch: KrausChannel) -> TransitionMatrix:
-    """Population dynamics G[k', k] = <k'| channel(|k><k|) |k'>."""
-    return TransitionMatrix((np.abs(ch.kraus) ** 2).sum(axis=0))
+def transition_matrix(ch: KrausChannel) -> np.ndarray:
+    """Population dynamics G[k', k] = <k'| channel(|k><k|) |k'>, a float
+    (d, d) array."""
+    return (np.abs(ch.kraus) ** 2).sum(axis=0)
 
 
 def _gap_matrix(spec: SystemSpec) -> np.ndarray:
@@ -526,7 +504,7 @@ def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:
     CPTP exactly whenever G is column stochastic; Gibbs preserving iff G is
     Gibbs stochastic.  Requires strictly increasing energies so each (level,
     gap) pair has at most one partner."""
-    g = (G if isinstance(G, TransitionMatrix) else TransitionMatrix(G)).G
+    g = require_stochastic(G, "G")
     if g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
     if any(b <= a for a, b in zip(spec.energies, spec.energies[1:])):
@@ -544,8 +522,9 @@ class VerifyReport:
     passed: bool
 
 
-def verify_gibbs_preserving(ch: KrausChannel, gamma: DensityMatrix, tol: float = 1e-9) -> VerifyReport:
-    """Trace distance between channel(gamma) and gamma."""
+def verify_gibbs_preserving(ch: KrausChannel, gamma, tol: float = 1e-9) -> VerifyReport:
+    """Trace distance between channel(gamma) and gamma, a density matrix."""
+    gamma = require_density(gamma, "gamma")
     dev = trace_distance(ch.apply(gamma), gamma)
     return VerifyReport(deviation=dev, passed=dev <= tol)
 

@@ -5,10 +5,11 @@ properties, `cone` samples/exports population cones, `merge` evaluates the
 coherence-merging bounds, `decouple` runs the correlation-erasure witness.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, including a
-non-finite or out-of-range flag value.  JSON output is canonical ({schema,
-command, config, results}, sorted keys) and never holds NaN or Infinity;
-CSV is a flattened projection for plotting.  All randomness is
-Philox-seeded from --seed, falling back to THERMOPS_SEED, then 0.
+non-finite or out-of-range flag value and an --out path that cannot be
+written.  JSON output is canonical ({schema, command, config, results},
+sorted keys) and never holds NaN or Infinity; CSV is a flattened projection
+for plotting.  All randomness is Philox-seeded from --seed, falling back to
+THERMOPS_SEED, then 0.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_verify(args):
         ch = sto_channel(qubit_optimal_sto(args.p00, bath), spec, bath)
         rho = _qubit_test_state()
         report, sat = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
-        g = transition_matrix(ch).G
+        g = transition_matrix(ch)
         details.update(
             p00_requested=args.p00,
             p00_measured=float(g[0, 0]),
@@ -407,8 +408,12 @@ def main(argv=None) -> int:
     if args.format == "csv":
         text = _cone_csv(results) if args.command == "cone" else _kv_csv(doc)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

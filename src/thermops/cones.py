@@ -25,11 +25,13 @@ import numpy as np
 
 from .core import (
     NEG_FLOOR,
+    POSITIVE,
     renyi_divergence,
     require_count,
     require_distribution,
     require_finite,
     require_length,
+    require_levels,
     require_unit_interval,
 )
 from .channels import damping_blocks, permutation_blocks, random_blocks, sto_population_matrix
@@ -45,7 +47,7 @@ def _curve(v, gamma):
     """v's thermo-majorization curve: cumulative Gibbs weight and cumulative
     population from the origin, levels in decreasing order of v_i / gamma_i
     (a level of zero Gibbs weight comes first)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         order = (-(v / gamma)).argsort(kind="stable")
     return _from_origin(gamma[order]), _from_origin(v[order])
 
@@ -125,16 +127,24 @@ def qubit_cto_check(p, ptarget, gamma, tol: float = tolerance) -> bool:
 
 
 def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.ndarray:
-    """Gibbs-stochastic matrix touching only levels i and j (gamma_i >=
-    gamma_j required, i.e. i is the lower level).  a = retention of level i,
-    allowed range [1 - gamma_j/gamma_i, 1]; the lower endpoint is the full
-    exchange (beta swap), the upper endpoint the identity."""
-    gamma = np.asarray(gamma, dtype=float)
-    if not (0 <= i < d and 0 <= j < d and i != j):
-        raise ValueError("need two distinct levels")
+    """Gibbs-stochastic matrix touching only levels i and j of d (gamma, the
+    d finite Gibbs weights, must have gamma_i >= gamma_j > 0, i.e. i is the
+    lower level).  a = retention of level i, allowed range
+    [1 - gamma_j/gamma_i, 1]; the lower endpoint is the full exchange (beta
+    swap), the upper endpoint the identity."""
+    d = require_count(d, "d", 2)
+    i, j = require_levels((i, j), "levels (i, j)", d, 2)
+    gamma = require_finite(require_length(gamma, "gamma", d), "gamma", low=0.0)
+    if not gamma[j] > 0.0:
+        raise ValueError(f"gamma must be positive at level {j}, got {gamma[j]}")
     if gamma[i] < gamma[j]:
         raise ValueError("need gamma_i >= gamma_j (pass the lower level first)")
-    ratio = gamma[j] / gamma[i]
+    return _two_level(d, i, j, a, gamma[j] / gamma[i])
+
+
+def _two_level(d, i, j, a, ratio):
+    """`two_level_gibbs_stochastic` once its levels and ratio = gamma_j /
+    gamma_i, in (0, 1], are known to be valid; a is still checked."""
     lo = 1.0 - ratio
     a = require_finite(a, "a", low=lo + NEG_FLOOR, high=1.0 - NEG_FLOOR)
     a = min(max(a, lo), 1.0)
@@ -149,12 +159,6 @@ def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.nd
 _QUTRIT_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _beta_swap_matrices(gamma):
-    return tuple(
-        two_level_gibbs_stochastic(3, i, j, 1.0 - gamma[j] / gamma[i], gamma) for i, j in _QUTRIT_PAIRS
-    )
-
-
 def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     """Points reachable from p by sequences of two-level thermal contacts.
 
@@ -164,9 +168,12 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     uniformly from its allowed interval.  Returns (points, provenance)."""
     p = require_length(require_distribution(p, "p"), "p", 3)  # the sampler covers qutrits
     gamma = require_length(require_distribution(gamma, "gamma"), "gamma", 3)
+    require_finite(gamma, "gamma", low=POSITIVE)  # every level takes part in a contact
     depth = require_count(depth, "depth", 1)
     n = require_count(n, "n")
-    swaps = _beta_swap_matrices(gamma)
+    ratios = [gamma[j] / gamma[i] for i, j in _QUTRIT_PAIRS]
+    # the full exchanges also check the level order of gamma
+    swaps = [two_level_gibbs_stochastic(3, i, j, 1.0 - r, gamma) for (i, j), r in zip(_QUTRIT_PAIRS, ratios)]
     points, tags = [], []
     for length in range(depth + 1):
         for word in product(range(3), repeat=length):
@@ -180,10 +187,9 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
         length = int(rng.integers(1, depth + 1))
         x = p.copy()
         for _ in range(length):
-            i, j = _QUTRIT_PAIRS[int(rng.integers(0, 3))]
-            lo = 1.0 - gamma[j] / gamma[i]
-            a = float(rng.uniform(lo, 1.0))
-            x = two_level_gibbs_stochastic(3, i, j, a, gamma) @ x
+            k = int(rng.integers(0, 3))
+            a = float(rng.uniform(1.0 - ratios[k], 1.0))
+            x = _two_level(3, *_QUTRIT_PAIRS[k], a, ratios[k]) @ x
         points.append(x)
         tags.append("ElTO-random")
     return np.array(points), tags

@@ -4,6 +4,12 @@ All energies sit on an integer grid in units of one base quantum, so energy
 gaps match exactly (no float fuzz when sorting matrix entries into coherence
 modes).  Inverse temperature is expressed in units of one over that quantum;
 Boltzmann factors are then exact powers of q = exp(-beta * epsilon).
+
+A state is a plain complex (d, d) array and a population dynamics a plain
+float (d, d) array G[k_out, k_in].  Values the library builds itself are
+trusted; one arriving from outside is checked once, where it enters, by
+`require_density` or `require_stochastic`.  All `require_*` checks share
+the tolerance policy below.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ EIG_FLOOR = -1e-10  # channels produce eigenvalue dust of this order
 # probability vector may miss unit mass by NORM_TOL
 NEG_FLOOR = -1e-12
 NORM_TOL = 1e-9
+COLUMN_TOL = 1e-10  # column sums of a population dynamics
 POSITIVE = math.ulp(0.0)  # low=POSITIVE asks for x > 0
 
 
@@ -77,6 +84,40 @@ def require_length(v, name: str, size: int) -> np.ndarray:
     if np.shape(v) != (size,):
         raise ValueError(f"{name} must be a vector of {size} entries, got shape {np.shape(v)}")
     return v
+
+
+def require_density(m, name: str) -> np.ndarray:
+    """m as a read-only complex copy; raises ValueError unless it is a
+    density matrix: square, finite, Hermitian to HERM_TOL, unit trace to
+    TRACE_TOL, no eigenvalue below EIG_FLOOR."""
+    m = np.array(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must have finite entries")
+    if not np.abs(m - m.conj().T).max() <= HERM_TOL:
+        raise ValueError(f"{name} must be Hermitian")
+    tr = np.trace(m)
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValueError(f"{name} must have trace 1, got {tr}")
+    if not np.linalg.eigvalsh(m).min() >= EIG_FLOOR:
+        raise ValueError(f"{name} has a negative eigenvalue beyond the noise floor")
+    m.flags.writeable = False
+    return m
+
+
+def require_stochastic(g, name: str) -> np.ndarray:
+    """g as a float array; raises ValueError unless it is a population
+    dynamics G[k_out, k_in]: square, finite entries >= NEG_FLOOR, every
+    column summing to 1 within COLUMN_TOL."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not g.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {g.shape}")
+    require_finite(g, name, low=NEG_FLOOR)
+    dev = np.abs(g.sum(axis=0) - 1.0).max()
+    if not dev <= COLUMN_TOL:
+        raise ValueError(f"{name} columns must sum to 1 (deviation {dev:.2e})")
+    return g
 
 
 def gibbs_ladder(d: int, q: float) -> np.ndarray:
@@ -147,7 +188,7 @@ class BathSpec:
     def __post_init__(self):
         require_finite(self.beta, "beta", low=POSITIVE)
         object.__setattr__(self, "epsilon", require_count(self.epsilon, "epsilon", 1))
-        require_count(self.truncation, "truncation", 1)
+        object.__setattr__(self, "truncation", require_count(self.truncation, "truncation", 1))
 
     @classmethod
     def from_q(cls, q: float, truncation: int, epsilon: int = 1) -> "BathSpec":
@@ -164,57 +205,20 @@ class BathSpec:
         return gibbs_ladder(self.truncation + 1, self.q)
 
 
-class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, PSD up to noise floor."""
-
-    def __init__(self, mat):
-        m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        if not np.abs(m - m.conj().T).max() <= HERM_TOL:
-            raise ValueError("matrix is not Hermitian")
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr}")
-        if not np.linalg.eigvalsh(m).min() >= EIG_FLOOR:
-            raise ValueError("negative eigenvalue beyond noise floor")
-        m.flags.writeable = False
-        self.mat = m
-        self.dim = m.shape[0]
-
-    @classmethod
-    def diagonal(cls, populations) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(populations, dtype=complex)))
-
-    @classmethod
-    def pure(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("zero vector")
-        v = v / nrm
-        return cls(np.outer(v, v.conj()))
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
-
-
-def _as_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def gibbs_state(spec: SystemSpec, beta: float) -> DensityMatrix:
-    """Thermal state diag(exp(-beta*E_k))/Z of the given level structure."""
+def gibbs_state(spec: SystemSpec, beta: float) -> np.ndarray:
+    """Thermal state diag(exp(-beta*E_k))/Z of the given level structure,
+    as a complex (d, d) array."""
     beta = require_finite(beta, "beta", low=POSITIVE)
     w = np.exp(-beta * np.asarray(spec.energies, dtype=float))
-    return DensityMatrix.diagonal(w / w.sum())
+    return np.diag((w / w.sum()).astype(complex))
 
 
-def populations(rho: DensityMatrix) -> np.ndarray:
-    """Occupation probabilities (real diagonal)."""
-    return np.real(np.diag(_as_matrix(rho))).copy()
+def populations(rho) -> np.ndarray:
+    """Occupation probabilities (real diagonal) of a (d, d) state."""
+    m = np.asarray(rho)
+    if m.ndim != 2:
+        raise ValueError(f"rho must be a matrix, got shape {m.shape}")
+    return np.real(np.diag(m)).copy()
 
 
 def renyi_divergence(p, g, alpha) -> float:
@@ -254,7 +258,7 @@ def renyi_divergence(p, g, alpha) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference; total variation on diagonals."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = np.asarray(a), np.asarray(b)
     if ma.shape != mb.shape:
         raise ValueError("dimension mismatch")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(ma - mb)).sum())

@@ -220,7 +220,7 @@ def test_03_qubit_damping_saturation(capsys):
     worst_eta = worst_pop = 0.0
     for p00 in (0.6, 0.75, 0.9):
         ch = sto_channel(qubit_optimal_sto(p00, bath), spec, bath)
-        g = transition_matrix(ch).G
+        g = transition_matrix(ch)
         eta = abs(ch.apply(rho)[1, 0]) / 0.25
         worst_eta = max(worst_eta, abs(eta - np.sqrt(g[0, 0] * g[1, 1])))
         worst_pop = max(worst_pop, abs(g[0, 0] - p00))
@@ -391,7 +391,7 @@ def test_06_qubit_reachability_grid(capsys):
         agreements += curve == lp == in_segment == cto
     bath = BathSpec.from_q(q, 40)
     spec = SystemSpec.ladder(2)
-    swap = transition_matrix(sto_channel(beta_swap_qubit(bath), spec, bath)).G
+    swap = transition_matrix(sto_channel(beta_swap_qubit(bath), spec, bath))
     low_end_dev = abs((swap @ p)[0] - lo)
     high_end_dev = abs((np.eye(2) @ p)[0] - hi)
     ok = agreements == 101 and low_end_dev <= 1e-9 and high_end_dev == 0.0

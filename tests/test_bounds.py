@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermops.core import BathSpec, DensityMatrix, SystemSpec
+from thermops.core import BathSpec, SystemSpec, require_density
 from thermops.channels import (
     coherence_transfer,
     haar_stack,
@@ -223,11 +223,7 @@ def test_random_four_level_channels_respect_merge_bounds(x, rng):
 def test_random_qutrit_channels_respect_overlap_bounds(rng):
     q = 0.5
     a, b = 0.2, 0.12
-    rho = DensityMatrix(
-        np.array(
-            [[0.5, 0.2, 0.0], [0.2, 0.3, 0.12], [0.0, 0.12, 0.2]], dtype=complex
-        )
-    ).mat
+    rho = require_density([[0.5, 0.2, 0.0], [0.2, 0.3, 0.12], [0.0, 0.12, 0.2]], "rho")
     bounds = overlap_merge_bounds(a, b, q)
     bath = BathSpec.from_q(q, 20)
     spec = SystemSpec.ladder(3)
@@ -243,11 +239,7 @@ def test_symmetric_bound_holds_on_measured_dynamics(rng):
     for every assembled channel, truncated or not."""
     bath = BathSpec.from_q(0.8, 15)
     spec = SystemSpec.ladder(3)
-    rho = DensityMatrix(
-        np.array(
-            [[0.5, 0.2, 0.1], [0.2, 0.3, 0.15], [0.1, 0.15, 0.2]], dtype=complex
-        )
-    ).mat
+    rho = require_density([[0.5, 0.2, 0.1], [0.2, 0.3, 0.15], [0.1, 0.15, 0.2]], "rho")
     for _ in range(40):
         ch = sto_channel(random_blocks(3, 17, rng), spec, bath)
         g = transition_matrix(ch)

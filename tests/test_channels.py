@@ -3,12 +3,11 @@ import pytest
 
 from covariance_oracle import sampled_covariance_deviation
 from shell_oracle import loop_a_vectors, loop_damping_blocks, loop_permutation_blocks, loop_population_matrix
-from thermops.core import BathSpec, DensityMatrix, SystemSpec, gibbs_ladder, gibbs_state
+from thermops.core import BathSpec, SystemSpec, gibbs_ladder, gibbs_state
 from thermops.channels import (
     _enumerate_shells,
     BlockUnitary,
     KrausChannel,
-    TransitionMatrix,
     a_vectors,
     beta_swap_qubit,
     choi_distance,
@@ -36,7 +35,7 @@ N_KEEP = 20
 
 
 def ladder_gamma(d, q):
-    return DensityMatrix.diagonal(gibbs_ladder(d, q))
+    return np.diag(gibbs_ladder(d, q))
 
 
 def random_test_state(rng, d):
@@ -148,7 +147,6 @@ def test_block_family_input_checks(name, build):
     [
         lambda: identity_blocks(2, 3),
         lambda: KrausChannel((np.eye(2),)),
-        lambda: TransitionMatrix(np.eye(2)),
     ],
 )
 def test_array_holders_compare_by_identity(build):
@@ -199,14 +197,34 @@ def test_kraus_stack_is_read_only_copy():
 
 
 def test_transition_matrix_validation():
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.array([[0.5, 0.0], [0.4, 1.0]]))  # column sum 0.9
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
-    g = TransitionMatrix(np.array([[0.75, 0.5], [0.25, 0.5]]))
-    gamma = np.array([2.0 / 3.0, 1.0 / 3.0])
-    assert g.gibbs_deviation(gamma) <= 1e-15
-    assert g.is_gibbs_stochastic(gamma)
+    """transition_matrix returns the population dynamics as a plain float
+    array; a G handed in from outside is checked where it enters."""
+    ch = simultaneous_beta_swap_kraus(0.5)
+    g = transition_matrix(ch)
+    assert type(g) is np.ndarray and g.dtype == float and g.shape == (4, 4)
+    assert np.abs(g.sum(axis=0) - 1.0).max() <= 1e-15
+    spec = SystemSpec.four_level(1, 3)
+    with pytest.raises(ValueError, match="^G columns must sum to 1"):
+        exto_optimal_channel(np.array([[0.5, 0.0], [0.4, 1.0]]), SystemSpec.ladder(2))
+    with pytest.raises(ValueError, match="^G must be finite"):
+        exto_optimal_channel(np.full((4, 4), np.nan), spec)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        exto_optimal_channel(np.eye(3), spec)
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        (np.full((2, 2), np.nan), "gamma must have finite entries"),
+        (np.array([[0.5, 0.4], [0.1, 0.5]]), "gamma must be Hermitian"),
+        (np.eye(2), "gamma must have trace 1"),
+        (np.array([0.5, 0.5]), "gamma must be a nonempty square matrix"),
+    ],
+    ids=["nan", "non-hermitian", "trace-2", "vector"],
+)
+def test_verify_gibbs_preserving_checks_gamma(gamma, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        verify_gibbs_preserving(KrausChannel((np.eye(2),)), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +237,7 @@ def test_identity_blocks_make_identity_channel(rng):
     ch = sto_channel(identity_blocks(3, 12), spec, bath)
     rho = random_test_state(rng, 3)
     assert np.abs(ch.apply(rho) - rho).max() <= 1e-14
-    assert np.abs(transition_matrix(ch).G - np.eye(3)).max() <= 1e-14
+    assert np.abs(transition_matrix(ch) - np.eye(3)).max() <= 1e-14
 
 
 def test_sto_channel_requires_resonant_ladder():
@@ -245,7 +263,7 @@ def test_random_sto_channels_certified(d, q, rng):
         assert cptp_deviation(ch) <= 1e-10
         assert verify_covariant(ch, spec, 1e-9).passed
         assert verify_gibbs_preserving(ch, gamma, gibbs_limit).passed
-        g = transition_matrix(ch).G
+        g = transition_matrix(ch)
         # no-exchange constraints on the population dynamics
         assert g[0, 0] >= 1.0 - q - 1e-10
         for k in range(d):
@@ -295,7 +313,7 @@ def test_a_vectors_consistent_with_channel(rng):
     bath = BathSpec.from_q(0.5, 15)
     blocks = random_blocks(3, 17, rng)
     av = a_vectors(blocks, bath)
-    g = transition_matrix(sto_channel(blocks, SystemSpec.ladder(3), bath)).G
+    g = transition_matrix(sto_channel(blocks, SystemSpec.ladder(3), bath))
     assert np.abs((np.abs(av) ** 2).sum(axis=2) - g).max() <= 1e-12
     assert np.abs((np.abs(av) ** 2).sum(axis=(0, 2)) - 1.0).max() <= 1e-12  # unit column weight
     with pytest.raises(ValueError, match=r"^blocks must cover shells 0\.\.17, got 10$"):
@@ -392,7 +410,7 @@ def test_beta_swap_qubit():
     q = 0.5
     bath = BathSpec.from_q(q, N_KEEP)
     ch = sto_channel(beta_swap_qubit(bath), SystemSpec.ladder(2), bath)
-    g = transition_matrix(ch).G
+    g = transition_matrix(ch)
     w0 = (1.0 - q) / (1.0 - q ** (N_KEEP + 1))
     assert g[0, 0] == pytest.approx(w0, abs=1e-14)
     assert g[0, 1] == pytest.approx(1.0, abs=1e-14)
@@ -413,7 +431,7 @@ def test_qubit_optimal_damping_ratio(p00, q):
         pytest.skip("retention below the reachable floor")
     bath = BathSpec.from_q(q, N_KEEP)
     ch = sto_channel(qubit_optimal_sto(p00, bath), SystemSpec.ladder(2), bath)
-    g = transition_matrix(ch).G
+    g = transition_matrix(ch)
     rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     damping = abs(ch.apply(rho)[1, 0]) / 0.25
     ratio = damping / np.sqrt(g[0, 0] * g[1, 1])
@@ -437,7 +455,7 @@ def test_simultaneous_beta_swap_kraus():
     gamma = gibbs_state(spec, -np.log(x) / 2.0)
     assert verify_gibbs_preserving(ch, gamma, 1e-12).passed
     # population matrix and the mode action on the shared-gap coherences
-    g = transition_matrix(ch).G
+    g = transition_matrix(ch)
     expect = np.array(
         [[1 - x, 0, 1, 0], [0, 1 - x, 0, 1], [x, 0, 0, 0], [0, x, 0, 0]], dtype=float
     )
@@ -602,7 +620,7 @@ def test_exto_optimal_channel(rng):
         assert cptp_deviation(ch) <= 1e-12
         assert verify_covariant(ch, spec, 1e-12).passed
         assert verify_gibbs_preserving(ch, gamma, 1e-10).passed
-        assert np.abs(transition_matrix(ch).G - g).max() <= 1e-13
+        assert np.abs(transition_matrix(ch) - g).max() <= 1e-13
 
 
 def test_exto_optimal_validation():

@@ -80,6 +80,13 @@ class TestCone:
         assert cone["points"] == []
         assert cone["p"] == [0.8, 0.16, 0.04]
 
+    def test_subnormal_q_keeps_the_to_cone_finite(self, capsys):
+        # q^2 underflows to 0 and p/gamma overflows; neither may warn or leak
+        code, doc = run_json(capsys, ["cone", "to", "--q", "1e-320", "--directions", "6"])
+        assert code == 0
+        assert doc["results"]["to"]["gamma"][2] == 0.0
+        assert len(doc["results"]["to"]["support"]) == 6
+
     def test_elto_sample_counts(self, capsys):
         code, doc = run_json(
             capsys,
@@ -184,6 +191,10 @@ class TestOutputPlumbing:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert doc["schema"] == "thermops/4"
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        assert_usage_error(["verify", "beta-swap", "--out", str(tmp_path / "missing" / "x.json")])
+        assert_usage_error(["cone", "to", "--directions", "3", "--format", "csv", "--out", str(tmp_path)])
 
     def test_seed_env_fallback_matches_flag(self, capsys, tmp_path, monkeypatch):
         flagged = tmp_path / "flagged.json"
@@ -297,6 +308,9 @@ BAD_INPUT_RUNS = [
     "merge --overlap --a inf --b 0.1",
     "cone sto --samples -5",
     "cone elto --samples -3 --depth 1",
+    # the Gibbs weight of the top level underflows to 0
+    "cone elto --q 1e-200 --samples 3 --depth 1",
+    "cone all --q 1e-200 --samples 3 --depth 1 --directions 3",
     "cone all --directions 0",
     "cone to --directions -3",
     "verify beta-swap --tol nan",

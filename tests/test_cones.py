@@ -259,6 +259,22 @@ class TestTwoLevelGibbsStochastic:
         with pytest.raises(ValueError):
             two_level_gibbs_stochastic(3, 0, 1, 0.1, qutrit_gamma)  # below range
 
+    @pytest.mark.parametrize(
+        "d, i, j, gamma, message",
+        [
+            pytest.param(3, 0.5, 1, [0.5, 0.3, 0.2], r"^levels \(i, j\) must be 2", id="half-level"),
+            pytest.param(2, 0, 2, [0.6, 0.4], r"^levels \(i, j\) must be 2", id="level-past-d"),
+            pytest.param(3, 0, 2, [0.6, 0.4], "^gamma must be a vector of 3 entries", id="short-gamma"),
+            pytest.param(2.5, 0, 1, [0.6, 0.4], "^d must be a whole number", id="fractional-d"),
+            pytest.param(2, 0, 1, [np.nan, 0.4], "^gamma must be finite", id="nan-gamma"),
+            pytest.param(2, 0, 1, [0.6, np.inf], "^gamma must be finite", id="inf-gamma"),
+            pytest.param(3, 1, 2, [1.0, 0.0, 0.0], "^gamma must be positive at level 2", id="zero-gamma"),
+        ],
+    )
+    def test_input_checks(self, d, i, j, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            two_level_gibbs_stochastic(d, i, j, 0.9, gamma)
+
 
 class TestEltoSample:
     def test_counts_and_tags(self, fig_state, qutrit_gamma):

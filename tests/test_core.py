@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thermops.channels import simultaneous_beta_swap_sto
 from thermops.core import (
     BathSpec,
-    DensityMatrix,
     SystemSpec,
     gibbs_ladder,
     gibbs_state,
     populations,
     renyi_divergence,
     require_count,
+    require_density,
     require_distribution,
     require_finite,
     require_levels,
+    require_stochastic,
     require_unit_interval,
     trace_distance,
 )
@@ -56,6 +58,12 @@ class TestSpecs:
         # epsilon scales beta so q is per mode quantum
         assert BathSpec.from_q(0.25, 5, epsilon=2).q == pytest.approx(0.25, abs=1e-15)
 
+    def test_bath_truncation_is_stored_as_int(self):
+        bath = BathSpec.from_q(0.5, 5.0, 2)
+        assert type(bath.truncation) is int and bath.truncation == 5
+        table, _ = simultaneous_beta_swap_sto(bath)  # indexes with the truncation
+        assert len(table) > 0
+
     def test_bath_validation(self):
         with pytest.raises(ValueError):
             BathSpec.from_q(0.0, 10)
@@ -71,36 +79,77 @@ class TestSpecs:
             BathSpec.from_q(math.nan, 10)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestDensityMatrix:
     def test_diagonal_and_pure(self):
-        rho = DensityMatrix.diagonal([0.7, 0.3])
+        rho = require_density(np.diag([0.7, 0.3]), "rho")
+        assert rho.dtype == complex
         assert populations(rho) == pytest.approx([0.7, 0.3])
-        psi = DensityMatrix.pure([1.0, 1.0])
-        assert psi.mat[0, 1] == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="^rho must be a matrix"):
+            populations([0.7, 0.3])  # np.diag would build diag(0.7, 0.3)
+        v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        psi = require_density(np.outer(v, v.conj()), "psi")
+        assert psi[0, 1] == pytest.approx(0.5)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            DensityMatrix([[0.5, 0.4], [0.1, 0.5]])  # not Hermitian
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))  # trace 2
-        with pytest.raises(ValueError):
-            DensityMatrix([[1.2, 0.0], [0.0, -0.2]])  # negative eigenvalue
-        with pytest.raises(ValueError):
-            DensityMatrix.pure([0.0, 0.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            DensityMatrix([[bad, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DensityMatrix([[1.0, bad], [bad, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DensityMatrix.diagonal([bad, 1.0])
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            pytest.param([0.5, 0.5], "rho must be a nonempty square matrix", id="vector"),
+            pytest.param(np.ones((2, 3)) / 2.0, "rho must be a nonempty square matrix", id="2x3"),
+            pytest.param(np.zeros((0, 0)), "rho must be a nonempty square matrix", id="0x0"),
+            pytest.param([[0.5, 0.4], [0.1, 0.5]], "rho must be Hermitian", id="not-hermitian"),
+            pytest.param(np.eye(2), "rho must have trace 1", id="trace-2"),
+            pytest.param(np.zeros((2, 2)), "rho must have trace 1", id="zero"),  # the old pure([0, 0])
+            pytest.param([[1.2, 0.0], [0.0, -0.2]], "rho has a negative eigenvalue", id="negative-eigenvalue"),
+            *(
+                pytest.param(m, "rho must have finite entries", id=f"{bad}-{where}")
+                for bad in NON_FINITE
+                for where, m in (
+                    ("diagonal", [[bad, 0.0], [0.0, 1.0]]),
+                    ("off-diagonal", [[1.0, bad], [bad, 0.0]]),
+                    ("np-diag", np.diag([bad, 1.0])),
+                )
+            ),
+        ],
+    )
+    def test_rejects_bad_input(self, m, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            require_density(m, "rho")
 
     def test_readonly(self):
-        rho = DensityMatrix.diagonal([1.0, 0.0])
+        m = np.diag([1.0, 0.0])
+        rho = require_density(m, "rho")
+        m[0, 0] = 2.0  # the caller's array is not the checked copy
+        assert rho[0, 0] == 1.0
         with pytest.raises(ValueError):
-            rho.mat[0, 0] = 2.0
+            rho[0, 0] = 2.0
+
+
+def test_require_stochastic_accepts_and_returns_floats():
+    g = require_stochastic([[0.75, 0.5], [0.25, 0.5]], "G")
+    assert g.dtype == float
+    gamma = np.array([2.0 / 3.0, 1.0 / 3.0])
+    assert np.abs(g @ gamma - gamma).sum() <= 1e-15  # Gibbs stochastic
+    # float dust: an entry just below 0, a column sum just off 1
+    require_stochastic([[1.0, 0.0], [-1e-13, 1.0 + 5e-11]], "G")
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        pytest.param([0.5, 0.5], "G must be a nonempty square matrix", id="vector"),
+        pytest.param(np.ones((2, 3)) / 2.0, "G must be a nonempty square matrix", id="2x3"),
+        pytest.param(np.zeros((0, 0)), "G must be a nonempty square matrix", id="0x0"),
+        pytest.param([[0.5, 0.0], [0.4, 1.0]], "G columns must sum to 1", id="column-sum-0.9"),
+        pytest.param([[1.1, 0.0], [-0.1, 1.0]], "G must be finite and within", id="negative-entry"),
+        *(pytest.param([[bad, 0.0], [0.0, 1.0]], "G must be finite and within", id=str(bad)) for bad in NON_FINITE),
+    ],
+)
+def test_require_stochastic_rejects(g, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        require_stochastic(g, "G")
 
 
 class TestInputChecks:
@@ -173,7 +222,7 @@ def test_gibbs_state_is_free_evolution_fixed_point():
     g = gibbs_state(spec, 0.7)
     for t in (0.0, 0.3, 2.0, 17.5):
         phases = np.exp(-1j * t * np.asarray(spec.energies, dtype=float))
-        assert np.abs(np.outer(phases, phases.conj()) * g.mat - g.mat).max() <= 1e-15
+        assert np.abs(np.outer(phases, phases.conj()) * g - g).max() <= 1e-15
 
 
 ALPHAS = (-math.inf, -2.0, 0.0, 0.5, 1.0, 2.0, math.inf)
@@ -245,9 +294,9 @@ class TestRenyi:
 
 
 def test_trace_distance():
-    a = DensityMatrix.diagonal([0.8, 0.2])
-    b = DensityMatrix.diagonal([0.6, 0.4])
+    a = np.diag([0.8, 0.2])
+    b = np.diag([0.6, 0.4]).astype(complex)
     assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-14)
     assert trace_distance(a, a) == 0.0
     with pytest.raises(ValueError):
-        trace_distance(a, DensityMatrix.diagonal([0.5, 0.3, 0.2]))
+        trace_distance(a, np.diag([0.5, 0.3, 0.2]))
