@@ -3,7 +3,8 @@ channels, and the decoupling no-go witness.
 
 All bounds are statements about magnitudes; callers who want saturation must
 align the phases of the input coherences themselves (the test states used
-throughout carry positive real off-diagonals).
+throughout carry positive real off-diagonals).  Coherence modes are read
+from `SystemSpec.gaps`.
 """
 
 from __future__ import annotations
@@ -21,23 +22,23 @@ def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
     for any channel covariant under free evolution:
     sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d]).
-    i and j must be levels of the system; rho and G must be finite."""
+    rho and G must be finite (d, d) arrays and i and j levels of the system.
+    The terms are added one by one in row-major order (`cumsum`), with
+    |rho_cd| from `hypot`, so the value is that of the plain scalar sum."""
     m = np.asarray(rho)
     g = np.asarray(G, dtype=float)
-    if m.shape[0] != spec.d or g.shape != (spec.d, spec.d):
+    if m.shape != (spec.d, spec.d) or g.shape != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
     if not np.isfinite(m).all():
         raise ValueError("rho must have finite entries")
     require_finite(g, "G")
     (i,) = require_levels((i,), "i", spec.d, 1)
     (j,) = require_levels((j,), "j", spec.d, 1)
-    want = spec.gap(i, j)
-    total = 0.0
-    for c in range(spec.d):
-        for dd in range(spec.d):
-            if spec.gap(c, dd) == want and m[c, dd] != 0:
-                total += abs(m[c, dd]) * math.sqrt(max(g[i, c], 0.0) * max(g[j, dd], 0.0))
-    return total
+    gaps = spec.gaps
+    mode = (gaps == gaps[i, j]) & (m != 0)
+    weight = np.sqrt(np.outer(np.maximum(g[i], 0.0), np.maximum(g[j], 0.0)))
+    terms = np.hypot(m.real, m.imag)[mode] * weight[mode]
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ and tagged `KrausChannel.compose` returns the same form: one Gram
 eigendecomposition per shift, one operator per eigenvector, so a d-level
 channel carries at most d^2 Kraus operators whatever the truncation.
 `verify_covariant` reads covariance exactly off the Choi matrix: it must
-vanish between entries of different energy gaps.
+vanish between entries of different energy gaps.  Every energy-shift tag
+and gap test reads the one integer array `SystemSpec.gaps`.
 
 States and population dynamics are plain arrays: `transition_matrix` and
 `sto_population_matrix` return G[k_out, k_in] as a float (d, d) array.
@@ -301,22 +302,15 @@ def transition_matrix(ch: KrausChannel) -> np.ndarray:
     return (np.abs(ch.kraus) ** 2).sum(axis=0)
 
 
-def _gap_matrix(spec: SystemSpec) -> np.ndarray:
-    """gap[i, j] = E_i - E_j: the shift of entry (i, j), in grid units."""
-    e = np.asarray(spec.energies)
-    return np.subtract.outer(e, e)
-
-
 def _mode_channel(a: np.ndarray, spec: SystemSpec, epsilon: int) -> KrausChannel:
     """Canonical channel of the mode amplitudes a[k_out, k_in, n] (Gibbs
     weight included).  Energy conservation gives E_out - E_in = (n - m) *
     epsilon, so K_{m,n} is a[..., n] on the entries of that gap, tagged
     with it; `_canonical_kraus` reduces the K_{m,n}."""
-    d = spec.d
-    gap = _gap_matrix(spec)
-    shifts = np.unique(gap[gap % epsilon == 0])
-    on_shift = gap == shifts[:, None, None]
-    kraus = (a.transpose(2, 0, 1)[:, None] * on_shift).reshape(-1, d, d)
+    gaps = spec.gaps
+    shifts = np.unique(gaps[gaps % epsilon == 0])
+    on_shift = gaps == shifts[:, None, None]
+    kraus = (a.transpose(2, 0, 1)[:, None] * on_shift).reshape(-1, spec.d, spec.d)
     return KrausChannel(*_canonical_kraus(kraus, np.tile(shifts, a.shape[2])))
 
 
@@ -509,11 +503,11 @@ def exto_optimal_channel(G, spec: SystemSpec) -> KrausChannel:
         raise ValueError("dimension mismatch")
     if any(b <= a for a, b in zip(spec.energies, spec.energies[1:])):
         raise ValueError("energies must be strictly increasing")
-    gap = _gap_matrix(spec)
-    gaps = np.unique(gap)
-    kraus = (np.sqrt(np.maximum(g, 0.0)) * (gap == gaps[:, None, None])).astype(complex)
+    gaps = spec.gaps
+    shifts = np.unique(gaps)
+    kraus = (np.sqrt(np.maximum(g, 0.0)) * (gaps == shifts[:, None, None])).astype(complex)
     keep = np.linalg.norm(kraus, axis=(1, 2)) > PRUNE_TOL
-    return KrausChannel(kraus[keep], tuple(int(s) for s in gaps[keep]))
+    return KrausChannel(kraus[keep], tuple(int(s) for s in shifts[keep]))
 
 
 @dataclass(frozen=True)
@@ -539,11 +533,11 @@ def verify_covariant(ch: KrausChannel, spec: SystemSpec, tol: float = 1e-9) -> V
     an operator that lies off its tagged shift."""
     if spec.d != ch.dim:
         raise ValueError("dimension mismatch")
-    gap = _gap_matrix(spec)
-    g = gap.ravel()
+    gaps = spec.gaps
+    g = gaps.ravel()
     dev = np.abs(ch.choi()[g[:, None] != g[None, :]]).max(initial=0.0)
     if ch.shifts is not None:
-        off = gap != np.asarray(ch.shifts)[:, None, None]
+        off = gaps != np.asarray(ch.shifts)[:, None, None]
         dev = max(dev, np.abs(ch.kraus[off]).max(initial=0.0))
     dev = float(dev)
     return VerifyReport(deviation=dev, passed=dev <= tol)

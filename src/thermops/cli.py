@@ -234,7 +234,7 @@ def cmd_cone(args):
         results["elto"] = cone_dict(p, gamma, points=elto_points, provenance=tags)
     if everything or args.which == "sto":
         sto_points, tags = sto_cone_sample(p, bath, bath.truncation + 2, samples, seed)
-        results["sto"] = cone_dict(p, gibbs_ladder(3, bath.q), points=sto_points, provenance=tags)
+        results["sto"] = cone_dict(p, gamma, points=sto_points, provenance=tags)
     if everything:
         results["inclusion"] = _inclusion_summary(p, gamma, support, elto_points, sto_points)
     return config, results, 0

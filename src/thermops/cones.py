@@ -195,7 +195,6 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
     return np.array(points), tags
 
 
-_QUTRIT_PERMS = ((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
 _STRUCTURED = (
     ("identity", (0, 1, 2)),
     ("swap01", (1, 0, 2)),
@@ -204,6 +203,7 @@ _STRUCTURED = (
     ("cycle120", (1, 2, 0)),
     ("cycle201", (2, 0, 1)),
 )
+_QUTRIT_PERMS = tuple(perm for _, perm in _STRUCTURED[1:])  # every permutation but the identity
 
 
 def sto_cone_sample(p, bath, top_shell: int, n: int, seed: int):

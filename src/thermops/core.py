@@ -1,9 +1,11 @@
 """State, Hamiltonian and divergence primitives for thermal-operation numerics.
 
 All energies sit on an integer grid in units of one base quantum, so energy
-gaps match exactly (no float fuzz when sorting matrix entries into coherence
-modes).  Inverse temperature is expressed in units of one over that quantum;
-Boltzmann factors are then exact powers of q = exp(-beta * epsilon).
+gaps match exactly: `SystemSpec.gaps` holds them as one integer array, and
+sorting matrix entries into coherence modes needs no float fuzz.  A bath's
+temperature is its Boltzmann factor q per mode quantum, kept as given, so
+its Gibbs weights are exact powers of q; `gibbs_state` takes an inverse
+temperature beta in inverse grid units.
 
 A state is a plain complex (d, d) array and a population dynamics a plain
 float (d, d) array G[k_out, k_in].  Values the library builds itself are
@@ -150,9 +152,12 @@ class SystemSpec:
     def d(self) -> int:
         return len(self.energies)
 
-    def gap(self, i: int, j: int) -> int:
-        """Energy of the coherence mode holding entry (i, j)."""
-        return self.energies[i] - self.energies[j]
+    @property
+    def gaps(self) -> np.ndarray:
+        """gaps[i, j] = E_i - E_j, an integer (d, d) array: the energy of the
+        coherence mode holding entry (i, j)."""
+        e = np.asarray(self.energies)
+        return np.subtract.outer(e, e)
 
     @classmethod
     def ladder(cls, d: int, spacing: int = 1) -> "SystemSpec":
@@ -173,31 +178,26 @@ class SystemSpec:
 class BathSpec:
     """One truncated bosonic mode held in a Gibbs state.
 
-    epsilon is the mode energy in grid units, beta the inverse temperature in
-    inverse grid units, so q = exp(-beta*epsilon) is the Boltzmann factor of
-    one quantum.  Fock levels 0..truncation are kept with renormalized Gibbs
-    weights; renormalization keeps downstream channels exactly trace
-    preserving, at the price of an O(q^(N+1)) Gibbs-preservation error that
-    is measured rather than hidden.
+    epsilon is the mode energy in grid units and q, in (0, 1), the
+    Boltzmann factor of one quantum, exp(-beta * epsilon).  Fock levels
+    0..truncation are kept with renormalized Gibbs weights; renormalization
+    keeps downstream channels exactly trace preserving, at the price of an
+    O(q^(N+1)) Gibbs-preservation error that is measured rather than hidden.
     """
 
-    beta: float
+    q: float
     truncation: int
     epsilon: int = 1
 
     def __post_init__(self):
-        require_finite(self.beta, "beta", low=POSITIVE)
+        object.__setattr__(self, "q", require_unit_interval(self.q, "q"))
         object.__setattr__(self, "epsilon", require_count(self.epsilon, "epsilon", 1))
         object.__setattr__(self, "truncation", require_count(self.truncation, "truncation", 1))
 
     @classmethod
     def from_q(cls, q: float, truncation: int, epsilon: int = 1) -> "BathSpec":
-        q = require_unit_interval(q, "q")
-        return cls(beta=-math.log(q) / epsilon, truncation=truncation, epsilon=epsilon)
-
-    @property
-    def q(self) -> float:
-        return math.exp(-self.beta * self.epsilon)
+        """The named constructor: BathSpec(q, truncation, epsilon)."""
+        return cls(q, truncation, epsilon)
 
     def gibbs_weights(self) -> np.ndarray:
         """Occupation weights q^n of the kept Fock levels, renormalized to

@@ -39,6 +39,35 @@ def test_symmetric_bound_hand_value():
     assert symmetric_bound(rho, g, spec, 2, 0) == 0.0
     with pytest.raises(ValueError):
         symmetric_bound(rho, g[:2, :2], spec, 1, 0)
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        symmetric_bound(np.full((2, 5), 0.5), np.eye(2), SystemSpec.ladder(2), 1, 0)
+
+
+def _loop_symmetric_bound(rho, g, spec, i, j):
+    """The bound as an entry-by-entry double loop, the reference for the
+    array form."""
+    e = spec.energies
+    total = 0.0
+    for c in range(spec.d):
+        for dd in range(spec.d):
+            if e[c] - e[dd] == e[i] - e[j] and rho[c, dd] != 0:
+                total += abs(rho[c, dd]) * math.sqrt(max(g[i, c], 0.0) * max(g[j, dd], 0.0))
+    return total
+
+
+def test_symmetric_bound_matches_the_loop_bit_for_bit(rng):
+    # d = 9 holds modes of 8 or more entries, where np.sum adds pairwise
+    specs = [SystemSpec.ladder(d) for d in (2, 3, 4, 6, 9)]
+    specs += [SystemSpec.four_level(1, 3), SystemSpec.four_level(2, 2)]
+    for _ in range(400):
+        spec = specs[int(rng.integers(len(specs)))]
+        d = spec.d
+        rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho[rng.random((d, d)) < 0.2] = 0.0
+        g = rng.random((d, d))
+        g[rng.random((d, d)) < 0.1] = -1e-13  # dust below zero is clipped
+        i, j = (int(k) for k in rng.integers(d, size=2))
+        assert symmetric_bound(rho, g, spec, i, j) == _loop_symmetric_bound(rho, g, spec, i, j)
 
 
 _QUTRIT = SystemSpec.ladder(3)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermops import cli, cones
 from thermops.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +118,35 @@ class TestCone:
         assert inc["elto_membership_max_residual"] <= 1e-8
         assert inc["sto_membership_max_residual"] <= 1e-8
         assert isinstance(inc["sto_in_elto_hull_margin"], float)
+
+    def test_one_gamma_for_every_cone(self, capsys):
+        # q = 0.1 does not survive a round trip through beta = -log(q)
+        code, doc = run_json(
+            capsys, ["cone", "all", "--q", "0.1", "--samples", "3", "--directions", "3", "--depth", "1"]
+        )
+        assert code == 0
+        res = doc["results"]
+        assert res["to"]["gamma"] == res["elto"]["gamma"] == res["sto"]["gamma"]
+        assert res["sto"]["gamma"][1:] == [0.09009009009009009, 0.009009009009009009]
+
+    def test_cone_all_call_contract(self, capsys, monkeypatch):
+        """The membership and support counts the benchmark pins for a traced
+        `cone all --seed 7`; each name is patched where it is looked up."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        membership = counted("membership", cones.to_membership_residual)
+        monkeypatch.setattr(cones, "to_membership_residual", membership)
+        monkeypatch.setattr(cli, "to_support", counted("support", cli.to_support))
+        assert main(["cone", "all", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert calls == {"membership": 2099, "support": 360}
 
     def test_csv_export(self, capsys):
         code = main(["cone", "to", "--directions", "5", "--format", "csv"])

@@ -29,8 +29,11 @@ class TestSpecs:
         spec = SystemSpec.ladder(3)
         assert spec.energies == (0, 1, 2)
         assert spec.d == 3
-        assert spec.gap(2, 0) == 2
-        assert spec.gap(0, 2) == -2
+        assert spec.gaps[2, 0] == 2
+        assert spec.gaps[0, 2] == -2
+        assert spec.gaps.dtype.kind == "i"
+        gaps = SystemSpec.four_level(1, 3).gaps
+        assert gaps.tolist() == [[0, -1, -3, -4], [1, 0, -2, -3], [3, 2, 0, -1], [4, 3, 1, 0]]
         assert SystemSpec.ladder(2, spacing=3).energies == (0, 3)
 
     def test_four_level(self):
@@ -50,13 +53,17 @@ class TestSpecs:
 
     def test_bath(self):
         bath = BathSpec.from_q(0.5, 20)
-        assert bath.q == pytest.approx(0.5, abs=1e-15)
+        assert bath.q == 0.5
         w = bath.gibbs_weights()
         assert w.shape == (21,)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert w[1] / w[0] == pytest.approx(0.5, abs=1e-14)
-        # epsilon scales beta so q is per mode quantum
-        assert BathSpec.from_q(0.25, 5, epsilon=2).q == pytest.approx(0.25, abs=1e-15)
+        # q is the factor per mode quantum, whatever the quantum's size
+        assert BathSpec.from_q(0.25, 5, epsilon=2).q == 0.25
+
+    def test_bath_keeps_q_exactly(self):
+        qs = [i / 1000 for i in range(1, 1000)]
+        assert [BathSpec.from_q(q, 10).q for q in qs] == qs
 
     def test_bath_truncation_is_stored_as_int(self):
         bath = BathSpec.from_q(0.5, 5.0, 2)
@@ -72,9 +79,9 @@ class TestSpecs:
         with pytest.raises(ValueError):
             BathSpec.from_q(0.5, 0)
         with pytest.raises(ValueError):
-            BathSpec(beta=-1.0, truncation=10)
+            BathSpec(q=-1.0, truncation=10)
         with pytest.raises(ValueError):
-            BathSpec(beta=math.nan, truncation=10)
+            BathSpec(q=math.nan, truncation=10)
         with pytest.raises(ValueError):
             BathSpec.from_q(math.nan, 10)
 

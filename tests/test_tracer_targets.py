@@ -1,19 +1,27 @@
-"""The benchmark tracer wraps library names by string; a renamed or removed
-target makes every traced run fail before it measures anything."""
+"""The benchmark harness calls the library by name: the tracer wraps
+functions named by string, and the workloads call the public API.  A
+renamed target or a changed signature would make every benchmark run fail
+before it measures anything; these tests fail first."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_spanned_targets_exist():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_spanned_targets_exist():
+    spans = _perfbench_module("spans")
     channels = importlib.import_module("thermops.channels")
     originals = {
         name: getattr(importlib.import_module(module), attr) for name, module, attr in spans.SPANNED_FUNCTIONS
@@ -31,3 +39,18 @@ def test_spanned_targets_exist():
         assert getattr(importlib.import_module(module), attr) is originals[name]
     for name, cls_name, method in spans.SPANNED_METHODS:
         assert getattr(getattr(channels, cls_name), method) is originals[name]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w: w.Certify(1, sizes=((2, 10), (3, 10)), compose_truncation=10),
+        lambda w: w.ConeSweep(1, elto_random=10, sto_random=10),
+    ],
+    ids=["certify", "cone-sweep"],
+)
+def test_workload_runs_untraced(make):
+    """One iteration of an in-process workload at the smoke-check sizes."""
+    workload = make(_perfbench_module("workloads"))
+    checks = workload.check(workload.run(0))
+    assert checks and all(checks.values()), checks
