@@ -207,7 +207,7 @@ class KrausChannel:
             raise ValueError("all Kraus operators must be square of equal dimension")
         ks = np.array(self.kraus, dtype=complex)
         if self.shifts is not None:
-            sh = tuple(int(s) for s in self.shifts)
+            sh = tuple(require_count(s, "each shift", -math.inf) for s in self.shifts)
             if len(sh) != len(ks):
                 raise ValueError("one shift per Kraus operator")
             object.__setattr__(self, "shifts", sh)
@@ -283,6 +283,8 @@ def _canonical_kraus(kraus, shifts):
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     """Trace-norm distance between Choi matrices."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
     return float(np.abs(np.linalg.eigvalsh(a.choi() - b.choi())).sum())
 
 
@@ -395,14 +397,14 @@ def simultaneous_beta_swap_kraus(x: float, e2: int = 1) -> KrausChannel:
     shared-gap coherence mode it acts as
     rho'_{10} = (1-x) rho_{10} + rho_{32},  rho'_{32} = x rho_{10}.
     e2 fixes the energy-shift tags in grid units."""
-    x = require_unit_interval(x, "x")
+    x, e2 = require_unit_interval(x, "x"), require_count(e2, "e2", 1)
     k0 = np.zeros((4, 4), dtype=complex)
     k0[0, 0] = k0[1, 1] = np.sqrt(1.0 - x)
     k1 = np.zeros((4, 4), dtype=complex)
     k1[0, 2] = k1[1, 3] = 1.0
     k2 = np.zeros((4, 4), dtype=complex)
     k2[2, 0] = k2[3, 1] = np.sqrt(x)
-    return KrausChannel((k0, k1, k2), (0, -int(e2), int(e2)))
+    return KrausChannel((k0, k1, k2), (0, -e2, e2))
 
 
 def _enumerate_shells(spec: SystemSpec, bath: BathSpec):

@@ -3,13 +3,15 @@
 Four subcommands: `verify` builds a named channel and certifies its defining
 properties, `cone` samples/exports population cones, `merge` evaluates the
 coherence-merging bounds, `decouple` runs the correlation-erasure witness.
+All take --q, --format and --out; `verify` adds --truncation and --tol,
+`cone` --truncation and --seed.  No subcommand takes a flag it ignores.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, including a
 non-finite or out-of-range flag value and an --out path that cannot be
 written.  JSON output is canonical ({schema, command, config, results},
 sorted keys) and never holds NaN or Infinity; CSV is a flattened projection
-for plotting.  All randomness is Philox-seeded from --seed, falling back to
-THERMOPS_SEED, then 0.
+for plotting.  All randomness (`cone` alone draws any) is Philox-seeded
+from --seed, default 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -66,21 +67,6 @@ MEMBERSHIP_TOL = 1e-8  # curve gaps of reachable points are ~1e-15 rounding dust
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
 
 
-def _check_common(args):
-    """The flags every subcommand takes, checked whether or not it uses them."""
-    require_unit_interval(args.q, "--q")
-    require_count(args.truncation, "--truncation", 1)
-    require_finite(args.tol, "--tol", low=0.0)
-    if args.seed is not None:
-        require_count(args.seed, "--seed")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return require_count(int(os.environ.get("THERMOPS_SEED", "0")), "THERMOPS_SEED")
-
-
 def _four_level_test_state(r10: float, r32: float) -> np.ndarray:
     rho = np.eye(4, dtype=complex) / 4.0
     rho[1, 0] = rho[0, 1] = r10
@@ -110,7 +96,9 @@ def _certified(ch, spec, gamma, rho, tol, i=1, j=0):
 
 
 def cmd_verify(args):
-    q, n_keep, tol = args.q, args.truncation, args.tol
+    q = args.q
+    n_keep = require_count(args.truncation, "--truncation", 1)
+    tol = require_finite(args.tol, "--tol", low=0.0)
     x = q if args.x is None else require_unit_interval(args.x, "--x")
     require_finite(args.p00, "--p00")
     config = {"channel": args.channel, "q": q, "truncation": n_keep, "tol": tol}
@@ -207,23 +195,24 @@ def _inclusion_summary(p, gamma, support, elto_points, sto_points):
 
 def cmd_cone(args):
     q = args.q
+    truncation = require_count(args.truncation, "--truncation", 1)
+    seed = require_count(args.seed, "--seed")
     p = _parse_state(args.state)
     samples = require_count(args.samples, "--samples")
     directions = require_count(args.directions, "--directions", 1)
     depth = require_count(args.depth, "--depth", 1)
     gamma = gibbs_ladder(3, q)
-    seed = _resolve_seed(args)
     config = {
         "which": args.which,
         "state": list(p),
         "q": q,
-        "truncation": args.truncation,
+        "truncation": truncation,
         "samples": samples,
         "directions": directions,
         "depth": depth,
         "seed": seed,
     }
-    bath = BathSpec.from_q(q, args.truncation)
+    bath = BathSpec.from_q(q, truncation)
     everything = args.which == "all"
     results = {}
     if everything or args.which == "to":
@@ -350,11 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thermops", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    extra_flags = {
+        "--truncation": dict(type=int, default=40, help="kept bath Fock levels minus 1"),
+        "--tol": dict(type=float, default=1e-9, help="certificate tolerance"),
+        "--seed": dict(type=int, default=0, help="Philox seed of every random draw"),
+    }
+
+    def common(p, *extra):
         p.add_argument("--q", type=float, default=0.5, help="bath Boltzmann factor in (0,1)")
-        p.add_argument("--truncation", type=int, default=40, help="kept bath Fock levels minus 1")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=None, help="falls back to THERMOPS_SEED, then 0")
+        for flag in extra:
+            p.add_argument(flag, **extra_flags[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("channel", choices=("beta-swap", "optimal-qubit", "sim-beta-swap", "exto-optimal"))
     pv.add_argument("--x", type=float, default=None, help="four-level gap weight; defaults to q")
     pv.add_argument("--p00", type=float, default=0.75, help="ground retention for optimal-qubit")
-    common(pv)
+    common(pv, "--truncation", "--tol")
 
     pc = sub.add_parser("cone", help="sample and export population cones")
     pc.add_argument("which", choices=("to", "elto", "sto", "all"))
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=500)
     pc.add_argument("--directions", type=int, default=360)
     pc.add_argument("--depth", type=int, default=6)
-    common(pc)
+    common(pc, "--truncation", "--seed")
 
     pm = sub.add_parser("merge", help="coherence-merging bounds")
     pm.add_argument("--r10", type=float, default=None)
@@ -395,7 +389,7 @@ COMMANDS = {"verify": cmd_verify, "cone": cmd_cone, "merge": cmd_merge, "decoupl
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_common(args)
+        require_unit_interval(args.q, "--q")
         config, results, code = COMMANDS[args.command](args)
         config["format"] = args.format
         doc = {"schema": SCHEMA, "command": args.command, "config": config, "results": results}

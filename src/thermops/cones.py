@@ -119,6 +119,8 @@ def qubit_to_segment(p0: float, q: float):
 def qubit_cto_check(p, ptarget, gamma, tol: float = tolerance) -> bool:
     """Catalytic reachability test for qubit populations: the order +inf and
     -inf divergences to the Gibbs point must both be non-increasing."""
+    for v, name in ((p, "p"), (ptarget, "ptarget"), (gamma, "gamma")):
+        require_length(v, name, 2)
     d_from = renyi_divergence(p, gamma, np.inf)
     d_to = renyi_divergence(ptarget, gamma, np.inf)
     dm_from = renyi_divergence(p, gamma, -np.inf)

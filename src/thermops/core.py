@@ -139,6 +139,7 @@ class SystemSpec:
         es = tuple(self.energies)
         if len(es) < 1:
             raise ValueError("need at least one level")
+        require_finite(es, "energies")
         if any(int(e) != e for e in es):
             raise ValueError("energies must be integers (grid units)")
         es = tuple(int(e) for e in es)

@@ -164,6 +164,10 @@ def test_kraus_validation():
         KrausChannel((np.full((2, 2), np.nan),))
     with pytest.raises(ValueError):
         KrausChannel((np.eye(2), np.eye(2)), shifts=(0,))
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^each shift must be a whole number"):
+            KrausChannel((np.eye(2),), shifts=(bad,))
+    assert KrausChannel((np.eye(2),), shifts=(np.int64(-2),)).shifts == (-2,)
     ch = KrausChannel((np.eye(2),), shifts=(0,))
     assert ch.dim == 2
     assert cptp_deviation(ch) <= 1e-15
@@ -184,6 +188,13 @@ def test_kraus_validation():
 def test_kraus_shape_checks(kraus, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         KrausChannel(kraus)
+
+
+def test_channels_of_different_dimensions_do_not_combine():
+    qubit, qutrit = KrausChannel((np.eye(2),)), KrausChannel((np.eye(3),))
+    for combine in (choi_distance, KrausChannel.compose):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            combine(qubit, qutrit)
 
 
 def test_kraus_stack_is_read_only_copy():
@@ -468,6 +479,9 @@ def test_simultaneous_beta_swap_kraus():
     assert out[3, 2] == pytest.approx(x * 0.1, abs=1e-15)
     with pytest.raises(ValueError):
         simultaneous_beta_swap_kraus(0.0)
+    for e2 in (2.5, 0, -1):
+        with pytest.raises(ValueError, match="^e2 must be a whole number >= 1"):
+            simultaneous_beta_swap_kraus(x, e2=e2)
 
 
 def test_simultaneous_beta_swap_sto_structure():

@@ -226,15 +226,17 @@ class TestOutputPlumbing:
         assert_usage_error(["verify", "beta-swap", "--out", str(tmp_path / "missing" / "x.json")])
         assert_usage_error(["cone", "to", "--directions", "3", "--format", "csv", "--out", str(tmp_path)])
 
-    def test_seed_env_fallback_matches_flag(self, capsys, tmp_path, monkeypatch):
-        flagged = tmp_path / "flagged.json"
-        fallback = tmp_path / "fallback.json"
-        common = ["cone", "sto", "--samples", "5", "--truncation", "10"]
+    def test_seed_ignores_the_environment(self, tmp_path, monkeypatch):
+        # --seed is the one seed source: the environment is not read
+        plain = tmp_path / "plain.json"
+        with_env = tmp_path / "with_env.json"
+        argv = ["cone", "sto", "--samples", "5", "--truncation", "10"]
         monkeypatch.delenv("THERMOPS_SEED", raising=False)
-        assert main([*common, "--seed", "3", "--out", str(flagged)]) == 0
+        assert main([*argv, "--out", str(plain)]) == 0
         monkeypatch.setenv("THERMOPS_SEED", "3")
-        assert main([*common, "--out", str(fallback)]) == 0
-        assert flagged.read_bytes() == fallback.read_bytes()
+        assert main([*argv, "--out", str(with_env)]) == 0
+        assert json.loads(with_env.read_text())["config"]["seed"] == 0
+        assert with_env.read_bytes() == plain.read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in (0, 1)]
@@ -384,11 +386,8 @@ FLOAT_FLAGS = [
 ]
 COUNT_FLAGS = [
     (["verify", "beta-swap"], "--truncation"),
-    (["verify", "beta-swap"], "--seed"),
     *((["cone", which, *SMALL], flag) for which in ("to", "elto", "sto", "all")
       for flag in ("--samples", "--directions", "--depth", "--truncation", "--seed")),
-    (["merge", "--r10", "0.1", "--r32", "0.1", "--x", "0.5"], "--seed"),
-    (["decouple", "--p", "0.8", "--a", "0.1", "--b", "0.3"], "--truncation"),
 ]
 
 
@@ -403,3 +402,27 @@ BAD_VALUES = st.one_of(
 def test_non_finite_floats_and_negative_counts_exit_2(case, fmt):
     (base, flag), value = case
     assert_usage_error([*base, f"{flag}={value}", "--format", fmt])
+
+
+MERGE = ["merge", "--r10", "0.1", "--r32", "0.1", "--x", "0.5"]
+DECOUPLE = ["decouple", "--p", "0.8", "--a", "0.1", "--b", "0.3"]
+UNDECLARED_FLAGS = [
+    (["verify", "beta-swap"], "--seed", "3"),
+    (MERGE, "--seed", "3"),
+    (DECOUPLE, "--seed", "3"),
+    (["cone", "to", "--directions", "3"], "--tol", "0.5"),
+    (MERGE, "--tol", "0.5"),
+    (DECOUPLE, "--tol", "0.5"),
+    (MERGE, "--truncation", "3"),
+    (DECOUPLE, "--truncation", "3"),
+]
+
+
+@pytest.mark.parametrize("base, flag, value", UNDECLARED_FLAGS)
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(base, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*base, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err

@@ -231,6 +231,17 @@ class TestQubitSegment:
             assert to_membership(target, p, gamma) == in_segment
             assert qubit_cto_check(p, target, gamma) == in_segment
 
+    def test_cto_check_takes_qubits_only(self):
+        # a qutrit D_1 rises from 0.433 to 0.551 here, yet the two
+        # divergences alone would call the target reachable
+        p, x = np.array([0.43, 0.06, 0.51]), np.array([0.15, 0.79, 0.06])
+        with pytest.raises(ValueError, match="^p must be a vector of 2 entries"):
+            qubit_cto_check(p, x, gibbs_ladder(3, 0.5))
+        with pytest.raises(ValueError, match="^ptarget must be a vector of 2 entries"):
+            qubit_cto_check(p[:2], x, gibbs_ladder(2, 0.5))
+        with pytest.raises(ValueError, match="^gamma must be a vector of 2 entries"):
+            qubit_cto_check(p[:2], x[:2], gibbs_ladder(3, 0.5))
+
 
 class TestTwoLevelGibbsStochastic:
     def test_identity_endpoint(self):

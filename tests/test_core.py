@@ -50,6 +50,9 @@ class TestSpecs:
             SystemSpec((0, 0.5))
         with pytest.raises(ValueError):
             SystemSpec((0, 2, 1))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^energies must be finite"):
+                SystemSpec((0, bad))
 
     def test_bath(self):
         bath = BathSpec.from_q(0.5, 20)
