@@ -43,19 +43,16 @@ def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class MergeBoundReport:
-    r10: float
-    r32: float
-    x: float
     bound: float
     strategy: str  # "identity" or "simultaneous-beta-swap"; ties go to identity
 
 
 def _merge_report(r10, r32, x, keep, swap):
-    r10 = require_finite(r10, "r10", low=0.0)
-    r32 = require_finite(r32, "r32", low=0.0)
-    x = require_unit_interval(x, "x")
+    require_finite(r10, "r10", low=0.0)
+    require_finite(r32, "r32", low=0.0)
+    require_unit_interval(x, "x")
     strategy = "simultaneous-beta-swap" if swap > keep else "identity"
-    return MergeBoundReport(r10=r10, r32=r32, x=x, bound=max(keep, swap), strategy=strategy)
+    return MergeBoundReport(bound=max(keep, swap), strategy=strategy)
 
 
 def merge_down_bound(r10: float, r32: float, x: float) -> MergeBoundReport:

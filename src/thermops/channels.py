@@ -66,13 +66,14 @@ from .core import (
 UNITARY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 PRUNE_TOL = 1e-14  # drop Kraus operators below this Frobenius norm
+CERTIFY_TOL = 1e-9  # default pass threshold of the certificates and of `verify --tol`
 
 
-def _check_unitary(u: np.ndarray, identity: np.ndarray, tol: float = UNITARY_TOL):
+def _check_unitary(u: np.ndarray, identity: np.ndarray):
     """Raises ValueError unless max |u^dagger u - identity|, over a matrix or
-    a stack of them, is at most tol (NaN fails; an empty stack passes)."""
+    a stack of them, is at most UNITARY_TOL (NaN fails; an empty stack passes)."""
     dev = np.abs(np.einsum("...ki,...kl->...il", u.conj(), u) - identity).max(initial=0.0)
-    if not dev <= tol:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"block is not unitary (deviation {dev:.2e})")
 
 
@@ -518,14 +519,14 @@ class VerifyReport:
     passed: bool
 
 
-def verify_gibbs_preserving(ch: KrausChannel, gamma, tol: float = 1e-9) -> VerifyReport:
+def verify_gibbs_preserving(ch: KrausChannel, gamma, tol: float = CERTIFY_TOL) -> VerifyReport:
     """Trace distance between channel(gamma) and gamma, a density matrix."""
     gamma = require_density(gamma, "gamma")
     dev = trace_distance(ch.apply(gamma), gamma)
     return VerifyReport(deviation=dev, passed=dev <= tol)
 
 
-def verify_covariant(ch: KrausChannel, spec: SystemSpec, tol: float = 1e-9) -> VerifyReport:
+def verify_covariant(ch: KrausChannel, spec: SystemSpec, tol: float = CERTIFY_TOL) -> VerifyReport:
     """Covariance under free evolution, exactly.
 
     The channel maps |k><l| into entries |i><j| with weight C[(i, k), (j, l)]

@@ -4,7 +4,8 @@ Four subcommands: `verify` builds a named channel and certifies its defining
 properties, `cone` samples/exports population cones, `merge` evaluates the
 coherence-merging bounds, `decouple` runs the correlation-erasure witness.
 All take --q, --format and --out; `verify` adds --truncation and --tol,
-`cone` --truncation and --seed.  No subcommand takes a flag it ignores.
+`cone` --truncation and --seed.  No subcommand takes a flag it ignores, nor
+a `verify` channel or `merge` form another's (`VERIFY_FLAGS`, `MERGE_FLAGS`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, including a
 non-finite or out-of-range flag value and an --out path that cannot be
@@ -42,6 +43,7 @@ from .channels import (
     transition_matrix,
     verify_covariant,
     verify_gibbs_preserving,
+    CERTIFY_TOL,
 )
 from .core import (
     SystemSpec,
@@ -53,6 +55,7 @@ from .core import (
     require_unit_interval,
 )
 from .cones import (
+    MEMBERSHIP_TOL,
     cone_dict,
     elto_cone_sample,
     hull_margin,
@@ -63,8 +66,18 @@ from .cones import (
 )
 
 SCHEMA = "thermops/4"
-MEMBERSHIP_TOL = 1e-8  # curve gaps of reachable points are ~1e-15 rounding dust; not taken from --tol
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
+QUBIT_TEST_STATE = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)  # input of the qubit channels, only read
+# the flags each `verify` channel and each `merge` form reads
+VERIFY_FLAGS = {"beta-swap": (), "optimal-qubit": ("p00",), "sim-beta-swap": ("x",), "exto-optimal": ("x",)}
+MERGE_FLAGS = {"merge without --overlap": ("r10", "r32", "x"), "merge --overlap": ("a", "b")}
+
+
+def _reject_unread(args, table, mode):
+    """Usage error for a flag that the table gives to another mode than `mode`, if it was given."""
+    for flag in (f for flags in table.values() for f in flags if f not in table[mode]):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"{mode} does not read --{flag}")
 
 
 def _four_level_test_state(r10: float, r32: float) -> np.ndarray:
@@ -78,8 +91,8 @@ def _four_level_test_state(r10: float, r32: float) -> np.ndarray:
 # verify
 
 
-def _certified(ch, spec, gamma, rho, tol, i=1, j=0):
-    sat = saturation_check(ch, rho, spec, i, j)
+def _certified(ch, spec, gamma, rho, tol):
+    sat = saturation_check(ch, rho, spec, 1, 0)
     report = {
         "cptp_dev": cptp_deviation(ch),
         "gibbs_dev": verify_gibbs_preserving(ch, gamma, tol).deviation,
@@ -99,45 +112,44 @@ def cmd_verify(args):
     q = args.q
     n_keep = require_count(args.truncation, "--truncation", 1)
     tol = require_finite(args.tol, "--tol", low=0.0)
+    _reject_unread(args, VERIFY_FLAGS, args.channel)
     x = q if args.x is None else require_unit_interval(args.x, "--x")
-    require_finite(args.p00, "--p00")
+    p00 = 0.75 if args.p00 is None else require_finite(args.p00, "--p00")
     config = {"channel": args.channel, "q": q, "truncation": n_keep, "tol": tol}
+    config.update((flag, {"x": x, "p00": p00}[flag]) for flag in VERIFY_FLAGS[args.channel])
     details = {}
 
     if args.channel == "beta-swap":
         bath = BathSpec.from_q(q, n_keep)
         spec = SystemSpec.ladder(2)
         ch = sto_channel(beta_swap_qubit(bath), spec, bath)
-        rho = _qubit_test_state()
+        rho = QUBIT_TEST_STATE
         report, _ = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
         details["truncation_gibbs_limit"] = 3.0 * q ** (n_keep + 1) / (1.0 - q)
     elif args.channel == "optimal-qubit":
-        config["p00"] = args.p00
         bath = BathSpec.from_q(q, n_keep)
         spec = SystemSpec.ladder(2)
-        ch = sto_channel(qubit_optimal_sto(args.p00, bath), spec, bath)
-        rho = _qubit_test_state()
+        ch = sto_channel(qubit_optimal_sto(p00, bath), spec, bath)
+        rho = QUBIT_TEST_STATE
         report, sat = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
         g = transition_matrix(ch)
         details.update(
-            p00_requested=args.p00,
+            p00_requested=p00,
             p00_measured=float(g[0, 0]),
             p11_measured=float(g[1, 1]),
             damping_measured=sat.achieved / abs(rho[1, 0]),
             damping_bound=sat.bound / abs(rho[1, 0]),
-            p00_deviation=abs(float(g[0, 0]) - args.p00),
+            p00_deviation=abs(float(g[0, 0]) - p00),
         )
         report["pass"] = bool(report["pass"] and details["p00_deviation"] <= tol)
     elif args.channel == "sim-beta-swap":
-        config["x"] = x
         ch = simultaneous_beta_swap_kraus(x, e2=1)
         spec = SystemSpec.four_level(1, 1)
         rho = _four_level_test_state(0.1, 0.15)
         report, sat = _certified(ch, spec, gibbs_state(spec, -np.log(x)), rho, tol)
         down = merge_down_bound(0.1, 0.15, x)
         details.update(merge_down_bound=down.bound, merge_down_achieved=sat.achieved)
-    elif args.channel == "exto-optimal":
-        config["x"] = x
+    else:  # exto-optimal
         # two gap-resonant level pairs (0-2, 1-3) exchanged with weight x:
         # the merge-optimal population dynamics, here on a nondegenerate grid
         g = np.array(
@@ -153,17 +165,10 @@ def cmd_verify(args):
         rho = _four_level_test_state(0.1, 0.15)
         report, sat = _certified(ch, spec, gibbs_state(spec, -np.log(x) / 3.0), rho, tol)
         details.update(gap_pairs=[[0, 2], [1, 3]], merge_down_achieved=sat.achieved)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown channel {args.channel}")
 
     results = dict(report)
     results["details"] = details
     return config, results, 0 if report["pass"] else 1
-
-
-def _qubit_test_state() -> np.ndarray:
-    rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +239,14 @@ def cmd_cone(args):
 
 
 def cmd_merge(args):
+    mode = "merge --overlap" if args.overlap else "merge without --overlap"
+    _reject_unread(args, MERGE_FLAGS, mode)
+    config = {"overlap": args.overlap, **{flag: getattr(args, flag) for flag in MERGE_FLAGS[mode]}}
+    if None in config.values():
+        raise ValueError(f"{mode} needs --" + ", --".join(MERGE_FLAGS[mode]))
     if args.overlap:
-        if args.a is None or args.b is None:
-            raise ValueError("--overlap needs --a and --b")
-        config = {"overlap": True, "a": args.a, "b": args.b, "q": args.q}
+        config["q"] = args.q
         return config, dict(overlap_merge_bounds(args.a, args.b, args.q)), 0
-    if args.r10 is None or args.r32 is None or args.x is None:
-        raise ValueError("merge needs --r10, --r32 and --x (or --overlap with --a/--b)")
     r10, r32, x = args.r10, args.r32, args.x
     down = merge_down_bound(r10, r32, x)
     up = merge_up_bound(r10, r32, x)
@@ -251,7 +257,6 @@ def cmd_merge(args):
     s = 1.0 if top <= 0.2 else 0.2 / top
     out = simultaneous_beta_swap_kraus(x, e2=1).apply(_four_level_test_state(s * r10, s * r32))
     swap_down, swap_up = abs(out[1, 0]) / s, abs(out[3, 2]) / s
-    config = {"overlap": False, "r10": r10, "r32": r32, "x": x}
     results = {
         "down": {
             "bound": down.bound,
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     extra_flags = {
         "--truncation": dict(type=int, default=40, help="kept bath Fock levels minus 1"),
-        "--tol": dict(type=float, default=1e-9, help="certificate tolerance"),
+        "--tol": dict(type=float, default=CERTIFY_TOL, help="certificate tolerance"),
         "--seed": dict(type=int, default=0, help="Philox seed of every random draw"),
     }
 
@@ -353,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
     pv = sub.add_parser("verify", help="build a named channel and certify it")
-    pv.add_argument("channel", choices=("beta-swap", "optimal-qubit", "sim-beta-swap", "exto-optimal"))
-    pv.add_argument("--x", type=float, default=None, help="four-level gap weight; defaults to q")
-    pv.add_argument("--p00", type=float, default=0.75, help="ground retention for optimal-qubit")
+    pv.add_argument("channel", choices=tuple(VERIFY_FLAGS))
+    pv.add_argument("--x", type=float, help="gap weight of sim-beta-swap and exto-optimal only; defaults to q")
+    pv.add_argument("--p00", type=float, help="ground retention of optimal-qubit only; defaults to 0.75")
     common(pv, "--truncation", "--tol")
 
     pc = sub.add_parser("cone", help="sample and export population cones")
@@ -367,12 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc, "--truncation", "--seed")
 
     pm = sub.add_parser("merge", help="coherence-merging bounds")
-    pm.add_argument("--r10", type=float, default=None)
-    pm.add_argument("--r32", type=float, default=None)
-    pm.add_argument("--x", type=float, default=None)
-    pm.add_argument("--overlap", action="store_true", help="overlapping-gap variant (needs --a/--b)")
-    pm.add_argument("--a", type=float, default=None)
-    pm.add_argument("--b", type=float, default=None)
+    for flag in (f for flags in MERGE_FLAGS.values() for f in flags):
+        pm.add_argument(f"--{flag}", type=float)
+    pm.add_argument("--overlap", action="store_true", help="overlapping-gap form: --a/--b instead of --r10/--r32/--x")
     common(pm)
 
     pd = sub.add_parser("decouple", help="correlation-erasure witness")

@@ -36,7 +36,7 @@ from .core import (
 )
 from .channels import damping_blocks, permutation_blocks, random_blocks, sto_population_matrix
 
-tolerance = 1e-9  # default membership allowance for curve gaps and divergences
+MEMBERSHIP_TOL = 1e-9  # the one allowance of "is x reachable by TO?", for library and CLI alike
 
 # orthonormal basis of the zero-sum plane, for 2-D projections of qutrit simplex data
 PLANE_U = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -103,8 +103,8 @@ def to_membership_residual(x, p, gamma) -> float:
     return gap + abs(float(x.sum()) - 1.0) - float(x[x < 0.0].sum())
 
 
-def to_membership(x, p, gamma, tol: float = tolerance) -> bool:
-    return to_membership_residual(x, p, gamma) <= tol
+def to_membership(x, p, gamma) -> bool:
+    return to_membership_residual(x, p, gamma) <= MEMBERSHIP_TOL
 
 
 def qubit_to_segment(p0: float, q: float):
@@ -116,7 +116,7 @@ def qubit_to_segment(p0: float, q: float):
     return (min(ends), max(ends))
 
 
-def qubit_cto_check(p, ptarget, gamma, tol: float = tolerance) -> bool:
+def qubit_cto_check(p, ptarget, gamma) -> bool:
     """Catalytic reachability test for qubit populations: the order +inf and
     -inf divergences to the Gibbs point must both be non-increasing."""
     for v, name in ((p, "p"), (ptarget, "ptarget"), (gamma, "gamma")):
@@ -125,7 +125,7 @@ def qubit_cto_check(p, ptarget, gamma, tol: float = tolerance) -> bool:
     d_to = renyi_divergence(ptarget, gamma, np.inf)
     dm_from = renyi_divergence(p, gamma, -np.inf)
     dm_to = renyi_divergence(ptarget, gamma, -np.inf)
-    return d_to <= d_from + tol and dm_to <= dm_from + tol
+    return d_to <= d_from + MEMBERSHIP_TOL and dm_to <= dm_from + MEMBERSHIP_TOL
 
 
 def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.ndarray:
@@ -153,8 +153,9 @@ def _two_level(d, i, j, a, ratio):
     g = np.eye(d)
     g[i, i] = a
     g[j, i] = 1.0 - a
-    g[i, j] = (1.0 - a) / ratio
-    g[j, j] = 1.0 - (1.0 - a) / ratio
+    # 1 - (1 - ratio) need not round to ratio: the cap keeps a tiny-ratio exchange stochastic
+    g[i, j] = min((1.0 - a) / ratio, 1.0)
+    g[j, j] = 1.0 - g[i, j]
     return g
 
 

@@ -161,10 +161,9 @@ class SystemSpec:
         return np.subtract.outer(e, e)
 
     @classmethod
-    def ladder(cls, d: int, spacing: int = 1) -> "SystemSpec":
-        """Equally spaced levels 0, spacing, ..., (d-1)*spacing."""
-        spacing = require_count(spacing, "spacing", 1)
-        return cls(tuple(spacing * k for k in range(require_count(d, "d", 1))))
+    def ladder(cls, d: int) -> "SystemSpec":
+        """Levels 0, 1, ..., d-1: one grid quantum per rung."""
+        return cls(tuple(range(require_count(d, "d", 1))))
 
     @classmethod
     def four_level(cls, e1: int, e2: int) -> "SystemSpec":

@@ -254,7 +254,7 @@ def test_identity_blocks_make_identity_channel(rng):
 def test_sto_channel_requires_resonant_ladder():
     bath = BathSpec.from_q(0.5, 10)
     with pytest.raises(ValueError):
-        sto_channel(identity_blocks(2, 11), SystemSpec.ladder(2, spacing=2), bath)
+        sto_channel(identity_blocks(2, 11), SystemSpec((0, 2)), bath)
     with pytest.raises(ValueError):
         sto_channel(identity_blocks(2, 5), SystemSpec.ladder(2), bath)  # too few shells
 

@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,27 @@ class TestCone:
         assert main(["cone", "all", "--seed", "7"]) == 0
         capsys.readouterr()
         assert calls == {"membership": 2099, "support": 360}
+
+    @pytest.mark.parametrize("q", ["1e-4", "1e-8", "1e-12"])
+    def test_elto_corners_are_to_members_at_small_q(self, q, capsys):
+        code, doc = run_json(
+            capsys, ["cone", "all", "--q", q, "--samples", "6", "--directions", "6", "--depth", "3", "--truncation", "5"]
+        )
+        assert code == 0
+        inc = doc["results"]["inclusion"]
+        assert inc["elto_subset_to"] is True
+        assert inc["elto_membership_max_residual"] <= 1e-12
+
+    def test_inclusion_verdict_is_the_library_membership(self, fig_state, qutrit_gamma):
+        # 5e-9 past the cone: between the library's 1e-9 and the CLI's former 1e-8
+        x = fig_state + np.array([5e-9, 0.0, -5e-9])
+        residual = cones.to_membership_residual(x, fig_state, qutrit_gamma)
+        assert 1e-9 < residual < 1e-8
+        support = tuple((c, cones.to_support(fig_state, qutrit_gamma, c)) for c in cones.support_directions(3))
+        summary = cli._inclusion_summary(fig_state, qutrit_gamma, support, x[None], fig_state[None])
+        assert summary["elto_membership_max_residual"] == residual
+        assert summary["elto_subset_to"] is cones.to_membership(x, fig_state, qutrit_gamma) is False
+        assert summary["sto_subset_to"] is cones.to_membership(fig_state, fig_state, qutrit_gamma) is True
 
     def test_csv_export(self, capsys):
         code = main(["cone", "to", "--directions", "5", "--format", "csv"])
@@ -358,6 +380,7 @@ def assert_usage_error(argv):
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:")
     assert err.getvalue().count("\n") == 1
+    return err.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -426,3 +449,24 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(base, flag, value, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+OVERLAP = ["merge", "--overlap", "--a", "0.1", "--b", "0.1"]
+UNREAD_MODE_FLAGS = [
+    (["verify", "beta-swap"], "--x"),
+    (["verify", "beta-swap"], "--p00"),
+    (["verify", "optimal-qubit"], "--x"),
+    (["verify", "sim-beta-swap"], "--p00"),
+    (["verify", "exto-optimal"], "--p00"),
+    (OVERLAP, "--r10"),
+    (OVERLAP, "--r32"),
+    (OVERLAP, "--x"),
+    (MERGE, "--a"),
+    (MERGE, "--b"),
+]
+
+
+@pytest.mark.parametrize("base, flag", UNREAD_MODE_FLAGS)
+def test_flag_a_channel_or_form_does_not_read_is_a_usage_error(base, flag):
+    # 0.5 is a valid value of every one of these flags where it is read
+    assert f"does not read {flag}\n" in assert_usage_error([*base, flag, "0.5"])

@@ -253,6 +253,13 @@ class TestTwoLevelGibbsStochastic:
         g = two_level_gibbs_stochastic(2, 0, 1, 0.5, gamma)
         assert np.allclose(g, [[0.5, 1.0], [0.5, 0.0]], atol=1e-15)
 
+    def test_full_exchange_at_small_q_is_stochastic(self):
+        # 1 - (1 - r) rounds to 1.11 r here: the exchanged share is capped at 1
+        gamma = gibbs_ladder(3, 1e-8)
+        g = two_level_gibbs_stochastic(3, 0, 2, 1.0 - gamma[2] / gamma[0], gamma)
+        assert g.min() >= 0.0
+        assert g[:, 2].tolist() == [1.0, 0.0, 0.0]
+
     def test_gibbs_fixed_point(self, qutrit_gamma):
         g = two_level_gibbs_stochastic(3, 0, 2, 0.9, qutrit_gamma)
         assert np.allclose(g @ qutrit_gamma, qutrit_gamma, atol=1e-15)

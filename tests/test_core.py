@@ -34,7 +34,7 @@ class TestSpecs:
         assert spec.gaps.dtype.kind == "i"
         gaps = SystemSpec.four_level(1, 3).gaps
         assert gaps.tolist() == [[0, -1, -3, -4], [1, 0, -2, -3], [3, 2, 0, -1], [4, 3, 1, 0]]
-        assert SystemSpec.ladder(2, spacing=3).energies == (0, 3)
+        assert SystemSpec((0, 3)).gaps.tolist() == [[0, -3], [3, 0]]
 
     def test_four_level(self):
         assert SystemSpec.four_level(1, 3).energies == (0, 1, 3, 4)
