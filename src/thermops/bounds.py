@@ -17,6 +17,8 @@ import numpy as np
 from .core import SystemSpec, require_finite, require_levels, require_unit_interval
 from .channels import KrausChannel, qubit_retentions, transition_matrix
 
+REACH_RTOL = 1e-12  # relative float allowance of the decoupling verdict, which is homogeneous in (a, b)
+
 
 def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
@@ -75,7 +77,7 @@ def overlap_merge_bounds(a: float, b: float, q: float) -> dict:
     a = require_finite(a, "a", low=0.0)
     b = require_finite(b, "b", low=0.0)
     q = require_unit_interval(q, "q")
-    down = max(math.sqrt((1.0 - q * q) * a * a + b * b), a)
+    down = max(math.hypot(math.sqrt((1.0 - q) * (1.0 + q)) * a, b), a)  # hypot: no square over- or underflows
     up = max(a * q, b)
     return {"down": down, "up": up}
 
@@ -143,7 +145,7 @@ def decoupling_witness(p: float, a: float, b: float, q: float) -> DecouplingWitn
         q=q,
         product_coherence=product,
         exto_bound=bound,
-        reachable=product <= bound + 1e-12,
+        reachable=product <= bound * (1.0 + REACH_RTOL),
         condition_holds=holds,
         condition_vacuous=vacuous,
     )

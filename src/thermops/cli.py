@@ -65,7 +65,7 @@ from .cones import (
     to_support,
 )
 
-SCHEMA = "thermops/4"
+SCHEMA = "thermops/5"
 HULL_MARGIN_FLOOR = -1e-9  # float dust allowance for points exactly on a facet
 QUBIT_TEST_STATE = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)  # input of the qubit channels, only read
 # the flags each `verify` channel and each `merge` form reads
@@ -209,7 +209,7 @@ def cmd_cone(args):
     gamma = gibbs_ladder(3, q)
     config = {
         "which": args.which,
-        "state": list(p),
+        "state": p.tolist(),
         "q": q,
         "truncation": truncation,
         "samples": samples,

@@ -24,7 +24,6 @@ from itertools import product
 import numpy as np
 
 from .core import (
-    NEG_FLOOR,
     POSITIVE,
     renyi_divergence,
     require_count,
@@ -128,12 +127,12 @@ def qubit_cto_check(p, ptarget, gamma) -> bool:
     return d_to <= d_from + MEMBERSHIP_TOL and dm_to <= dm_from + MEMBERSHIP_TOL
 
 
-def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.ndarray:
+def two_level_gibbs_stochastic(d: int, i: int, j: int, share: float, gamma) -> np.ndarray:
     """Gibbs-stochastic matrix touching only levels i and j of d (gamma, the
     d finite Gibbs weights, must have gamma_i >= gamma_j > 0, i.e. i is the
-    lower level).  a = retention of level i, allowed range
-    [1 - gamma_j/gamma_i, 1]; the lower endpoint is the full exchange (beta
-    swap), the upper endpoint the identity."""
+    lower level).  share in [0, 1] is the part of level j's population moved
+    down to i, and share * gamma_j / gamma_i of level i's moves up.  Share 1
+    is the full exchange (beta swap), share 0 the identity."""
     d = require_count(d, "d", 2)
     i, j = require_levels((i, j), "levels (i, j)", d, 2)
     gamma = require_finite(require_length(gamma, "gamma", d), "gamma", low=0.0)
@@ -141,21 +140,18 @@ def two_level_gibbs_stochastic(d: int, i: int, j: int, a: float, gamma) -> np.nd
         raise ValueError(f"gamma must be positive at level {j}, got {gamma[j]}")
     if gamma[i] < gamma[j]:
         raise ValueError("need gamma_i >= gamma_j (pass the lower level first)")
-    return _two_level(d, i, j, a, gamma[j] / gamma[i])
+    return _two_level(d, i, j, share, gamma[j] / gamma[i])
 
 
-def _two_level(d, i, j, a, ratio):
+def _two_level(d, i, j, share, ratio):
     """`two_level_gibbs_stochastic` once its levels and ratio = gamma_j /
-    gamma_i, in (0, 1], are known to be valid; a is still checked."""
-    lo = 1.0 - ratio
-    a = require_finite(a, "a", low=lo + NEG_FLOOR, high=1.0 - NEG_FLOOR)
-    a = min(max(a, lo), 1.0)
+    gamma_i, in (0, 1], are known to be valid; share is still checked."""
+    share = require_finite(share, "share", low=0.0, high=1.0)
     g = np.eye(d)
-    g[i, i] = a
-    g[j, i] = 1.0 - a
-    # 1 - (1 - ratio) need not round to ratio: the cap keeps a tiny-ratio exchange stochastic
-    g[i, j] = min((1.0 - a) / ratio, 1.0)
-    g[j, j] = 1.0 - g[i, j]
+    g[i, j] = share
+    g[j, j] = 1.0 - share
+    g[j, i] = share * ratio
+    g[i, i] = 1.0 - share * ratio
     return g
 
 
@@ -167,16 +163,15 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
 
     Deterministic part: every composition of the three pairwise full
     exchanges up to the given depth (the corner words).  Random part: n
-    sequences of random length <= depth, random pairs, retention drawn
-    uniformly from its allowed interval.  Returns (points, provenance)."""
+    sequences of random length <= depth, random pairs, shares uniform in
+    (0, 1] (never the identity).  Returns (points, provenance)."""
     p = require_length(require_distribution(p, "p"), "p", 3)  # the sampler covers qutrits
     gamma = require_length(require_distribution(gamma, "gamma"), "gamma", 3)
     require_finite(gamma, "gamma", low=POSITIVE)  # every level takes part in a contact
     depth = require_count(depth, "depth", 1)
     n = require_count(n, "n")
-    ratios = [gamma[j] / gamma[i] for i, j in _QUTRIT_PAIRS]
     # the full exchanges also check the level order of gamma
-    swaps = [two_level_gibbs_stochastic(3, i, j, 1.0 - r, gamma) for (i, j), r in zip(_QUTRIT_PAIRS, ratios)]
+    swaps = [two_level_gibbs_stochastic(3, i, j, 1.0, gamma) for i, j in _QUTRIT_PAIRS]
     points, tags = [], []
     for length in range(depth + 1):
         for word in product(range(3), repeat=length):
@@ -190,9 +185,8 @@ def elto_cone_sample(p, gamma, depth: int, n: int, seed: int):
         length = int(rng.integers(1, depth + 1))
         x = p.copy()
         for _ in range(length):
-            k = int(rng.integers(0, 3))
-            a = float(rng.uniform(1.0 - ratios[k], 1.0))
-            x = _two_level(3, *_QUTRIT_PAIRS[k], a, ratios[k]) @ x
+            i, j = _QUTRIT_PAIRS[int(rng.integers(0, 3))]
+            x = _two_level(3, i, j, 1.0 - rng.random(), gamma[j] / gamma[i]) @ x
         points.append(x)
         tags.append("ElTO-random")
     return np.array(points), tags
@@ -331,9 +325,11 @@ def cone_dict(p, gamma, support=(), points=(), provenance=()) -> dict:
     points, one provenance tag per point, as the inner one."""
     if len(provenance) != len(points):
         raise ValueError("one provenance tag per point")
+    # Python floats, not numpy scalars: json encodes them at about half the cost
+    p, gamma, points = (np.asarray(v, dtype=float).tolist() for v in (p, gamma, points))
     return {
-        "p": list(p),
-        "gamma": list(gamma),
-        "support": [{"direction": list(c), "value": v} for c, v in support],
-        "points": [{"provenance": tag, "x": list(x)} for x, tag in zip(points, provenance)],
+        "p": p,
+        "gamma": gamma,
+        "support": [{"direction": np.asarray(c, dtype=float).tolist(), "value": float(v)} for c, v in support],
+        "points": [{"provenance": tag, "x": x} for x, tag in zip(points, provenance)],
     }

@@ -152,6 +152,14 @@ def test_overlap_merge_bounds_values():
         overlap_merge_bounds(0.1, 0.3, 1.5)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_overlap_merge_bounds_at_extreme_scales(scale):
+    # the bounds are homogeneous in (a, b): no square may overflow or underflow
+    got = overlap_merge_bounds(scale, scale, 0.5)
+    assert got["down"] == pytest.approx(math.sqrt(1.75) * scale, rel=1e-15, abs=0.0)
+    assert got["up"] == scale
+
+
 def test_qubit_damping_bound():
     assert qubit_damping_bound(1.0, 0.5) == pytest.approx(1.0)
     assert qubit_damping_bound(0.5, 0.5) == pytest.approx(0.0)
@@ -204,6 +212,12 @@ class TestDecoupling:
             decoupling_witness(1.0, 0.1, 0.3, 0.5)
         with pytest.raises(ValueError):
             decoupling_witness(0.8, -0.1, 0.3, 0.5)
+
+    def test_verdict_does_not_depend_on_scale(self):
+        # product 9.45 s vs bound 9 s: unreachable at every scale s
+        for k in range(-300, 301):
+            w = decoupling_witness(0.9, 10.0**k, 1.5 * 10.0**k, 0.5)
+            assert (w.reachable, w.condition_holds) == (False, True), k
 
     @given(
         st.floats(0.05, 0.95),

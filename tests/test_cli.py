@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,7 +27,7 @@ class TestVerify:
     def test_sim_beta_swap_passes(self, capsys):
         code, doc = run_json(capsys, ["verify", "sim-beta-swap"])
         assert code == 0
-        assert doc["schema"] == "thermops/4"
+        assert doc["schema"] == "thermops/5"
         assert doc["command"] == "verify"
         assert doc["config"]["channel"] == "sim-beta-swap"
         res = doc["results"]
@@ -159,6 +160,17 @@ class TestCone:
         assert inc["elto_subset_to"] is True
         assert inc["elto_membership_max_residual"] <= 1e-12
 
+    def test_elto_full_exchange_moves_the_state_at_tiny_q(self, capsys):
+        # r = gamma_2 / gamma_0 = 1e-24 is below the rounding of 1 - r
+        code, doc = run_json(capsys, ["cone", "all", "--seed", "7", "--q", "1e-12"])
+        assert code == 0
+        p = doc["config"]["state"]
+        corner = next(pt["x"] for pt in doc["results"]["elto"]["points"] if pt["provenance"] == "ElTO-corner:1")
+        assert corner != p
+        assert corner[0] == pytest.approx(p[0] + p[2], rel=1e-15)
+        assert 0.0 < corner[2] < 1e-23
+        assert doc["results"]["inclusion"]["sto_in_elto_hull_margin"] >= -1e-15
+
     def test_inclusion_verdict_is_the_library_membership(self, fig_state, qutrit_gamma):
         # 5e-9 past the cone: between the library's 1e-9 and the CLI's former 1e-8
         x = fig_state + np.array([5e-9, 0.0, -5e-9])
@@ -207,6 +219,12 @@ class TestMerge:
         assert doc["results"]["down"] == pytest.approx(0.3)
         assert doc["results"]["up"] == pytest.approx(0.15)
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_overlap_at_extreme_scales(self, scale, capsys):
+        code, doc = run_json(capsys, ["merge", "--overlap", "--a", scale, "--b", scale])
+        assert code == 0
+        assert doc["results"]["down"] == pytest.approx(math.sqrt(1.75) * float(scale), rel=1e-15, abs=0.0)
+
     def test_missing_flags_are_usage_errors(self, capsys):
         assert main(["merge", "--r10", "0.1"]) == 2
         capsys.readouterr()
@@ -226,6 +244,12 @@ class TestDecouple:
         assert res["exto_bound"] == pytest.approx(0.1)
         assert res["condition_holds"] is True
 
+    def test_tiny_coherences_keep_the_verdict(self, capsys):
+        code, doc = run_json(capsys, ["decouple", "--p", "0.9", "--a", "1e-14", "--b", "1.5e-14", "--q", "0.5"])
+        assert code == 0
+        assert doc["results"]["condition_holds"] is True
+        assert doc["results"]["verdict"] == "NOT-REACHABLE"
+
     def test_vacuous_window_notes(self, capsys):
         code, doc = run_json(
             capsys, ["decouple", "--p", "0.4", "--a", "0.1", "--b", "0.3", "--q", "0.5"]
@@ -242,7 +266,7 @@ class TestOutputPlumbing:
         assert code == 0
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "thermops/4"
+        assert doc["schema"] == "thermops/5"
 
     def test_unwritable_out_is_usage_error(self, tmp_path):
         assert_usage_error(["verify", "beta-swap", "--out", str(tmp_path / "missing" / "x.json")])
@@ -285,7 +309,7 @@ class TestOutputPlumbing:
         lines = out.split("\r\n")
         assert lines[0] == "key,value"
         rows = dict(ln.split(",", 1) for ln in lines[1:] if ln)
-        assert rows["schema"] == "thermops/4"
+        assert rows["schema"] == "thermops/5"
         assert rows["results.down.strategy"] == "simultaneous-beta-swap"
         assert float(rows["results.down.bound"]) == pytest.approx(0.25)
 

@@ -246,28 +246,40 @@ class TestQubitSegment:
 class TestTwoLevelGibbsStochastic:
     def test_identity_endpoint(self):
         gamma = np.array([2.0, 1.0]) / 3.0
-        assert np.allclose(two_level_gibbs_stochastic(2, 0, 1, 1.0, gamma), np.eye(2))
+        assert np.allclose(two_level_gibbs_stochastic(2, 0, 1, 0.0, gamma), np.eye(2))
 
     def test_full_exchange_endpoint(self):
         gamma = np.array([2.0, 1.0]) / 3.0
-        g = two_level_gibbs_stochastic(2, 0, 1, 0.5, gamma)
+        g = two_level_gibbs_stochastic(2, 0, 1, 1.0, gamma)
         assert np.allclose(g, [[0.5, 1.0], [0.5, 0.0]], atol=1e-15)
 
     def test_full_exchange_at_small_q_is_stochastic(self):
-        # 1 - (1 - r) rounds to 1.11 r here: the exchanged share is capped at 1
         gamma = gibbs_ladder(3, 1e-8)
-        g = two_level_gibbs_stochastic(3, 0, 2, 1.0 - gamma[2] / gamma[0], gamma)
+        g = two_level_gibbs_stochastic(3, 0, 2, 1.0, gamma)
         assert g.min() >= 0.0
         assert g[:, 2].tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("q", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+    def test_full_exchange_is_exact_at_small_q(self, q, i, j):
+        # r = gamma_j / gamma_i is far below the rounding of 1 - r, down to 1e-24
+        gamma = gibbs_ladder(3, q)
+        g = two_level_gibbs_stochastic(3, i, j, 1.0, gamma)
+        assert g[j, j] == 0.0
+        assert g[i, j] == 1.0
+        assert g[j, i] == gamma[j] / gamma[i]
+        assert np.allclose(g.sum(axis=0), 1.0, rtol=0.0, atol=1e-16)
 
     def test_gibbs_fixed_point(self, qutrit_gamma):
         g = two_level_gibbs_stochastic(3, 0, 2, 0.9, qutrit_gamma)
         assert np.allclose(g @ qutrit_gamma, qutrit_gamma, atol=1e-15)
         assert np.allclose(g.sum(axis=0), 1.0, atol=1e-15)
 
-    def test_clamps_float_dust(self, qutrit_gamma):
-        g = two_level_gibbs_stochastic(3, 0, 1, 1.0 + 5e-13, qutrit_gamma)
-        assert np.allclose(g, np.eye(3))
+    @pytest.mark.parametrize("share", [1.0 + 5e-13, -5e-13], ids=["above-1", "below-0"])
+    def test_share_outside_unit_interval_raises(self, share, qutrit_gamma):
+        # both endpoints are exact, so float dust past them is an error, not a share
+        with pytest.raises(ValueError, match=r"^share must be finite and within \[0.0, 1.0\]"):
+            two_level_gibbs_stochastic(3, 0, 1, share, qutrit_gamma)
 
     def test_validation(self, qutrit_gamma):
         with pytest.raises(ValueError):
@@ -275,7 +287,9 @@ class TestTwoLevelGibbsStochastic:
         with pytest.raises(ValueError):
             two_level_gibbs_stochastic(3, 2, 0, 0.9, qutrit_gamma)  # wrong order
         with pytest.raises(ValueError):
-            two_level_gibbs_stochastic(3, 0, 1, 0.1, qutrit_gamma)  # below range
+            two_level_gibbs_stochastic(3, 0, 1, 1.1, qutrit_gamma)  # above range
+        with pytest.raises(ValueError):
+            two_level_gibbs_stochastic(3, 0, 1, np.nan, qutrit_gamma)
 
     @pytest.mark.parametrize(
         "d, i, j, gamma, message",
@@ -308,9 +322,8 @@ class TestEltoSample:
         # the three depth-1 corners are the pairwise full exchanges
         pairs = ((0, 1), (0, 2), (1, 2))
         for k, (i, j) in enumerate(pairs):
-            lo = 1.0 - qutrit_gamma[j] / qutrit_gamma[i]
-            swap = two_level_gibbs_stochastic(3, i, j, lo, qutrit_gamma)
-            assert np.allclose(points[1 + k], swap @ fig_state, atol=1e-15)
+            swap = two_level_gibbs_stochastic(3, i, j, 1.0, qutrit_gamma)
+            assert np.array_equal(points[1 + k], swap @ fig_state)
 
     def test_all_points_are_to_members(self, fig_state, qutrit_gamma):
         points, _ = elto_cone_sample(fig_state, qutrit_gamma, depth=2, n=6, seed=3)
