@@ -19,10 +19,8 @@ from .channels import (
     a_vectors,
     beta_swap_qubit,
     choi_distance,
-    coherence_transfer,
     cptp_deviation,
     exto_optimal_channel,
-    identity_blocks,
     qubit_optimal_sto,
     random_blocks,
     shell_columns,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemSpec, require_finite, require_levels, require_unit_interval
-from .channels import KrausChannel, qubit_retentions, transition_matrix
+from .channels import KrausChannel, transition_matrix
 
 REACH_RTOL = 1e-12  # relative float allowance of the decoupling verdict, which is homogeneous in (a, b)
 
@@ -53,8 +53,11 @@ def _merge_report(r10, r32, x, keep, swap):
     require_finite(r10, "r10", low=0.0)
     require_finite(r32, "r32", low=0.0)
     require_unit_interval(x, "x")
+    bound = max(keep, swap)
+    if not math.isfinite(bound):
+        raise ValueError(f"merge bound overflows at r10 = {r10}, r32 = {r32}, x = {x}")
     strategy = "simultaneous-beta-swap" if swap > keep else "identity"
-    return MergeBoundReport(bound=max(keep, swap), strategy=strategy)
+    return MergeBoundReport(bound=bound, strategy=strategy)
 
 
 def merge_down_bound(r10: float, r32: float, x: float) -> MergeBoundReport:
@@ -82,11 +85,13 @@ def overlap_merge_bounds(a: float, b: float, q: float) -> dict:
     return {"down": down, "up": up}
 
 
-def qubit_damping_bound(p00: float, q: float) -> float:
-    """Largest qubit coherence damping factor at ground retention p00:
-    sqrt(p00 * p11) with p11 = 1 - (1 - p00)/q."""
-    p00, p11 = qubit_retentions(p00, q)
-    return math.sqrt(p00 * p11)
+def qubit_damping_bound(share: float, q: float) -> float:
+    """Largest qubit coherence damping factor at exchanged share in [0, 1]
+    (the part of the excited population moved down): sqrt(p00 * p11) with
+    p00 = 1 - share * q and p11 = 1 - share."""
+    share = require_finite(share, "share", low=0.0, high=1.0)
+    q = require_unit_interval(q, "q")
+    return math.sqrt((1.0 - share * q) * (1.0 - share))
 
 
 @dataclass(frozen=True)

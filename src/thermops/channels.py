@@ -45,13 +45,11 @@ Fock levels are kept (up to N + d - 1), never clipped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    NEG_FLOOR,
     BathSpec,
     SystemSpec,
     require_count,
@@ -161,10 +159,6 @@ def damping_blocks(d: int, top_shell: int, pair, r: float) -> BlockUnitary:
     stack[turn, i, k] = s[turn]
     stack[turn, k, i] = -s[turn]
     return BlockUnitary(stack)
-
-
-def identity_blocks(d: int, top_shell: int) -> BlockUnitary:
-    return permutation_blocks(d, top_shell, range(d))
 
 
 def haar_stack(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
@@ -346,21 +340,6 @@ def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> np.ndarray:
     return np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1)
 
 
-def coherence_transfer(blocks: BlockUnitary, bath: BathSpec, c: int, d: int, i: int, j: int) -> complex:
-    """Coefficient <i| channel(|c><d|) |j> of the ladder channel.
-
-    Nonzero only within one coherence mode (i - c == j - d); a mode mismatch
-    returns 0 after flagging, since covariance forces it.  Equals the inner
-    product of the amplitude vectors for c -> i and d -> j.  Each index must
-    be a level of range(blocks.d)."""
-    c, d, i, j = (require_levels((k,), name, blocks.d, 1)[0] for name, k in zip("cdij", (c, d, i, j)))
-    if i - c != j - d:
-        warnings.warn("mode mismatch: i - c != j - d, coefficient is 0", RuntimeWarning, stacklevel=2)
-        return 0j
-    av = a_vectors(blocks, bath)
-    return complex(np.sum(av[i, c, :] * np.conj(av[j, d, :])))
-
-
 def beta_swap_qubit(bath: BathSpec) -> BlockUnitary:
     """Population-exchange limit of qubit thermal contact: every excited
     shell swaps |0, j> and |1, j-1>.  Kills all coherence; the transition
@@ -368,25 +347,17 @@ def beta_swap_qubit(bath: BathSpec) -> BlockUnitary:
     return permutation_blocks(2, bath.truncation + 1, (1, 0))
 
 
-def qubit_retentions(p00: float, q: float):
-    """(p00, p11) of a Gibbs-preserving qubit channel with ground retention
-    p00: p11 = 1 - (1-p00)/q.  p00 must lie in [1-q, 1]; float dust outside
-    that range, and below p11 = 0, is clamped away."""
-    q = require_unit_interval(q, "q")
-    p00 = require_finite(p00, "p00", low=1.0 - q + NEG_FLOOR, high=1.0 - NEG_FLOOR)
-    p00 = min(max(p00, 1.0 - q), 1.0)
-    return p00, max(0.0, 1.0 - (1.0 - p00) / q)
+def qubit_optimal_sto(share: float, bath: BathSpec) -> BlockUnitary:
+    """Qubit blocks with the largest possible coherence damping factor
+    sqrt(p00 * p11) at exchanged share in [0, 1], the part of the excited
+    population moved down: p11 = 1 - share and p00 = 1 - share * q.  Share
+    1 is the full exchange (beta swap), share 0 the identity.
 
-
-def qubit_optimal_sto(p00: float, bath: BathSpec) -> BlockUnitary:
-    """Qubit blocks realizing ground-state retention p00 with the largest
-    possible coherence damping factor sqrt(p00 * p11), p11 = 1 - (1-p00)/q.
-
-    Shell j gets the rotation [[r^(j/2), s], [-s, r^(j/2)]] with
-    r = p11/p00, which makes the excited amplitude vector exactly
+    Shell j gets the rotation [[c, t], [-t, c]], c = r^(j/2), t = sqrt(1 -
+    r^j), with r = p11/p00, which makes the excited amplitude vector exactly
     proportional to the ground one (free phases set to zero)."""
-    p00, p11 = qubit_retentions(p00, bath.q)
-    return damping_blocks(2, bath.truncation + 1, (0, 1), p11 / p00)
+    share = require_finite(share, "share", low=0.0, high=1.0)
+    return damping_blocks(2, bath.truncation + 1, (0, 1), (1.0 - share) / (1.0 - share * bath.q))
 
 
 def simultaneous_beta_swap_kraus(x: float, e2: int = 1) -> KrausChannel:

@@ -114,7 +114,7 @@ def cmd_verify(args):
     tol = require_finite(args.tol, "--tol", low=0.0)
     _reject_unread(args, VERIFY_FLAGS, args.channel)
     x = q if args.x is None else require_unit_interval(args.x, "--x")
-    p00 = 0.75 if args.p00 is None else require_finite(args.p00, "--p00")
+    p00 = 0.75 if args.p00 is None else args.p00
     config = {"channel": args.channel, "q": q, "truncation": n_keep, "tol": tol}
     config.update((flag, {"x": x, "p00": p00}[flag]) for flag in VERIFY_FLAGS[args.channel])
     details = {}
@@ -127,9 +127,13 @@ def cmd_verify(args):
         report, _ = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
         details["truncation_gibbs_limit"] = 3.0 * q ** (n_keep + 1) / (1.0 - q)
     elif args.channel == "optimal-qubit":
+        # the ground retention is p00 = 1 - share * q; at p00 = 1 - q the
+        # division may round one ulp past share 1
+        p00 = require_finite(p00, "--p00", low=1.0 - q, high=1.0)
+        share = min((1.0 - p00) / q, 1.0)
         bath = BathSpec.from_q(q, n_keep)
         spec = SystemSpec.ladder(2)
-        ch = sto_channel(qubit_optimal_sto(p00, bath), spec, bath)
+        ch = sto_channel(qubit_optimal_sto(share, bath), spec, bath)
         rho = QUBIT_TEST_STATE
         report, sat = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
         g = transition_matrix(ch)
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="build a named channel and certify it")
     pv.add_argument("channel", choices=tuple(VERIFY_FLAGS))
     pv.add_argument("--x", type=float, help="gap weight of sim-beta-swap and exto-optimal only; defaults to q")
-    pv.add_argument("--p00", type=float, help="ground retention of optimal-qubit only; defaults to 0.75")
+    pv.add_argument("--p00", type=float, help="ground retention in [1 - q, 1] of optimal-qubit only; defaults to 0.75")
     common(pv, "--truncation", "--tol")
 
     pc = sub.add_parser("cone", help="sample and export population cones")

@@ -218,8 +218,9 @@ def test_03_qubit_damping_saturation(capsys):
     spec = SystemSpec.ladder(2)
     rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     worst_eta = worst_pop = 0.0
-    for p00 in (0.6, 0.75, 0.9):
-        ch = sto_channel(qubit_optimal_sto(p00, bath), spec, bath)
+    for share in (0.8, 0.5, 0.2):
+        p00 = 1.0 - share * bath.q  # 0.6, 0.75, 0.9
+        ch = sto_channel(qubit_optimal_sto(share, bath), spec, bath)
         g = transition_matrix(ch)
         eta = abs(ch.apply(rho)[1, 0]) / 0.25
         worst_eta = max(worst_eta, abs(eta - np.sqrt(g[0, 0] * g[1, 1])))

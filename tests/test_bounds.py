@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 
 from thermops.core import BathSpec, SystemSpec, require_density
 from thermops.channels import (
-    coherence_transfer,
     haar_stack,
-    identity_blocks,
     random_blocks,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
@@ -74,8 +73,6 @@ _QUTRIT = SystemSpec.ladder(3)
 _RHO3 = np.eye(3, dtype=complex) / 3
 _G3 = np.eye(3)
 _SWAP4 = simultaneous_beta_swap_kraus(0.5, e2=1)
-_BLOCKS2 = identity_blocks(2, 5)
-_BATH2 = BathSpec.from_q(0.5, 4)
 
 
 @pytest.mark.parametrize(
@@ -91,10 +88,6 @@ _BATH2 = BathSpec.from_q(0.5, 4)
         ("rho", lambda: symmetric_bound(np.diag([0.5, -np.inf, 0.5]), _G3, _QUTRIT, 1, 1)),
         ("i", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), -2, -3)),
         ("j", lambda: saturation_check(_SWAP4, np.eye(4) / 4, SystemSpec.four_level(1, 1), 1, 4)),
-        ("c", lambda: coherence_transfer(_BLOCKS2, _BATH2, -1, 0, 0, 1)),
-        ("d", lambda: coherence_transfer(_BLOCKS2, _BATH2, 0, 2, 0, 1)),
-        ("i", lambda: coherence_transfer(_BLOCKS2, _BATH2, 0, 0, 2, 0)),
-        ("j", lambda: coherence_transfer(_BLOCKS2, _BATH2, 1, 0, 1, np.nan)),
     ],
 )
 def test_level_index_checks(name, call):
@@ -127,6 +120,9 @@ class TestMergeBounds:
             merge_down_bound(-0.1, 0.2, 0.5)
         with pytest.raises(ValueError):
             merge_up_bound(0.1, 0.2, 1.0)
+        # (1 - x) r10 + r32 = 2.55e308 overflows
+        with pytest.raises(ValueError, match="r10 = 1.7e.308, r32 = 1.7e.308, x = 0.5"):
+            merge_down_bound(1.7e308, 1.7e308, 0.5)
 
     @given(
         st.floats(0.0, 1.0),
@@ -161,11 +157,20 @@ def test_overlap_merge_bounds_at_extreme_scales(scale):
 
 
 def test_qubit_damping_bound():
-    assert qubit_damping_bound(1.0, 0.5) == pytest.approx(1.0)
-    assert qubit_damping_bound(0.5, 0.5) == pytest.approx(0.0)
-    assert qubit_damping_bound(0.75, 0.5) == pytest.approx(math.sqrt(0.375), abs=1e-15)
-    with pytest.raises(ValueError):
-        qubit_damping_bound(0.4, 0.5)
+    assert qubit_damping_bound(0.0, 0.5) == 1.0  # identity
+    assert qubit_damping_bound(1.0, 0.5) == 0.0  # full exchange
+    assert qubit_damping_bound(0.5, 0.5) == pytest.approx(math.sqrt(0.375), abs=1e-15)
+    for share in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError, match="^share must"):
+            qubit_damping_bound(share, 0.5)
+
+
+@pytest.mark.parametrize("q, share", [(1e-4, 1.0), (1e-8, 0.5), (1e-12, 1.0), (1e-12, 0.5)])
+def test_qubit_damping_bound_is_exact_at_small_q(q, share):
+    # sqrt(p00 p11) with p00 = 1 - share q and p11 = 1 - share, the product
+    # taken in exact rational arithmetic
+    exact = math.sqrt((1 - Fraction(share) * Fraction(q)) * (1 - Fraction(share)))
+    assert qubit_damping_bound(share, q) == pytest.approx(exact, rel=0.0, abs=1e-15)
 
 
 def test_saturation_check_exact_swap():

@@ -11,12 +11,10 @@ from thermops.channels import (
     a_vectors,
     beta_swap_qubit,
     choi_distance,
-    coherence_transfer,
     cptp_deviation,
     damping_blocks,
     exto_optimal_channel,
     haar_stack,
-    identity_blocks,
     permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
@@ -62,7 +60,7 @@ def test_haar_stack_deterministic():
 
 
 def test_block_unitary_validation(rng):
-    bu = identity_blocks(3, 7)
+    bu = permutation_blocks(3, 7, range(3))
     assert bu.d == 3 and bu.top_shell == 7 and bu.stack.shape == (8, 3, 3)
     qubit = np.zeros((2, 2, 2))
     qubit[0, 0, 0] = 1.0
@@ -114,8 +112,9 @@ def test_block_unitary_stack(rng):
     copy = BlockUnitary(source)
     source[3] = 0.0
     assert np.array_equal(copy.stack, bu.stack) and not copy.stack.flags.writeable
-    real = BlockUnitary(identity_blocks(2, 3).stack.real)
-    assert real.stack.dtype == complex and np.array_equal(real.stack, identity_blocks(2, 3).stack)
+    identity = permutation_blocks(2, 3, range(2))
+    real = BlockUnitary(identity.stack.real)
+    assert real.stack.dtype == complex and np.array_equal(real.stack, identity.stack)
 
     empty = BlockUnitary(np.zeros((0, 3, 3)))
     assert empty.d == 3 and empty.top_shell == -1 and empty.stack.shape == (0, 3, 3)
@@ -145,7 +144,7 @@ def test_block_family_input_checks(name, build):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: identity_blocks(2, 3),
+        lambda: permutation_blocks(2, 3, range(2)),
         lambda: KrausChannel((np.eye(2),)),
     ],
 )
@@ -245,7 +244,7 @@ def test_verify_gibbs_preserving_checks_gamma(gamma, message):
 def test_identity_blocks_make_identity_channel(rng):
     bath = BathSpec.from_q(0.5, 10)
     spec = SystemSpec.ladder(3)
-    ch = sto_channel(identity_blocks(3, 12), spec, bath)
+    ch = sto_channel(permutation_blocks(3, 12, range(3)), spec, bath)
     rho = random_test_state(rng, 3)
     assert np.abs(ch.apply(rho) - rho).max() <= 1e-14
     assert np.abs(transition_matrix(ch) - np.eye(3)).max() <= 1e-14
@@ -254,9 +253,9 @@ def test_identity_blocks_make_identity_channel(rng):
 def test_sto_channel_requires_resonant_ladder():
     bath = BathSpec.from_q(0.5, 10)
     with pytest.raises(ValueError):
-        sto_channel(identity_blocks(2, 11), SystemSpec((0, 2)), bath)
+        sto_channel(permutation_blocks(2, 11, range(2)), SystemSpec((0, 2)), bath)
     with pytest.raises(ValueError):
-        sto_channel(identity_blocks(2, 5), SystemSpec.ladder(2), bath)  # too few shells
+        sto_channel(permutation_blocks(2, 5, range(2)), SystemSpec.ladder(2), bath)  # too few shells
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -283,17 +282,19 @@ def test_random_sto_channels_certified(d, q, rng):
 
 
 def test_transfer_matches_channel_orientation(rng):
-    """coherence_transfer(c, d, i, j) must be the actual channel matrix
-    element <i| ch(|c><d|) |j>, not its conjugate."""
+    """The a_vectors inner product sum_n A[i, c, n] conj(A[j, d, n]) must be
+    the actual channel matrix element <i| ch(|c><d|) |j>, not its
+    conjugate."""
     bath = BathSpec.from_q(0.5, 12)
     spec = SystemSpec.ladder(3)
     blocks = random_blocks(3, 14, rng)
     ch = sto_channel(blocks, spec, bath)
+    av = a_vectors(blocks, bath)
     for (c, d, i, j) in [(0, 1, 0, 1), (1, 2, 0, 1), (0, 2, 0, 2), (1, 0, 2, 1)]:
         unit = np.zeros((3, 3), dtype=complex)
         unit[c, d] = 1.0
         got = ch.apply(unit)[i, j]
-        want = coherence_transfer(blocks, bath, c, d, i, j)
+        want = np.sum(av[i, c] * av[j, d].conj())
         assert abs(got - want) <= 1e-12
 
 
@@ -313,13 +314,6 @@ def test_transfer_cauchy_schwarz(rng):
                         assert abs(t[i, c, j, d]) <= np.sqrt(p[i, c] * p[j, d]) + 1e-10
 
 
-def test_transfer_mode_mismatch_warns():
-    bath = BathSpec.from_q(0.5, 5)
-    blocks = identity_blocks(2, 6)
-    with pytest.warns(RuntimeWarning):
-        assert coherence_transfer(blocks, bath, 0, 0, 0, 1) == 0j
-
-
 def test_a_vectors_consistent_with_channel(rng):
     bath = BathSpec.from_q(0.5, 15)
     blocks = random_blocks(3, 17, rng)
@@ -328,9 +322,9 @@ def test_a_vectors_consistent_with_channel(rng):
     assert np.abs((np.abs(av) ** 2).sum(axis=2) - g).max() <= 1e-12
     assert np.abs((np.abs(av) ** 2).sum(axis=(0, 2)) - 1.0).max() <= 1e-12  # unit column weight
     with pytest.raises(ValueError, match=r"^blocks must cover shells 0\.\.17, got 10$"):
-        a_vectors(identity_blocks(3, 10), bath)
+        a_vectors(permutation_blocks(3, 10, range(3)), bath)
     with pytest.raises(ValueError, match=r"^blocks must cover shells 0\.\.17, got 10$"):
-        sto_channel(identity_blocks(3, 10), SystemSpec.ladder(3), bath)
+        sto_channel(permutation_blocks(3, 10, range(3)), SystemSpec.ladder(3), bath)
 
 
 def test_channel_composition_closure(rng):
@@ -435,26 +429,33 @@ def test_beta_swap_qubit():
     assert abs(ch.apply(rho)[1, 0]) <= 1e-15
 
 
-@pytest.mark.parametrize("p00", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("share", [0.0, 0.55, 0.75, 0.95, 1.0])
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
-def test_qubit_optimal_damping_ratio(p00, q):
-    if p00 < 1.0 - q:
-        pytest.skip("retention below the reachable floor")
+def test_qubit_optimal_damping_ratio(share, q):
     bath = BathSpec.from_q(q, N_KEEP)
-    ch = sto_channel(qubit_optimal_sto(p00, bath), SystemSpec.ladder(2), bath)
+    ch = sto_channel(qubit_optimal_sto(share, bath), SystemSpec.ladder(2), bath)
     g = transition_matrix(ch)
+    assert g[1, 1] == pytest.approx(1.0 - share, abs=10.0 * q**N_KEEP)
     rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     damping = abs(ch.apply(rho)[1, 0]) / 0.25
-    ratio = damping / np.sqrt(g[0, 0] * g[1, 1])
-    assert 1.0 - 10.0 * q**N_KEEP <= ratio <= 1.0 + 1e-12
+    bound = np.sqrt(g[0, 0] * g[1, 1])
+    assert (1.0 - 10.0 * q**N_KEEP) * bound <= damping <= bound + 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-8, 1e-12])
+def test_qubit_optimal_full_exchange_is_exact_at_small_q(q):
+    # share 1 empties the excited level exactly, and with it the coherence
+    bath = BathSpec.from_q(q, 10)
+    ch = sto_channel(qubit_optimal_sto(1.0, bath), SystemSpec.ladder(2), bath)
+    assert transition_matrix(ch)[1, 1] == 0.0
+    assert ch.apply(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))[1, 0] == 0.0
 
 
 def test_qubit_optimal_validation():
     bath = BathSpec.from_q(0.5, 10)
-    with pytest.raises(ValueError):
-        qubit_optimal_sto(0.4, bath)  # below 1 - q
-    with pytest.raises(ValueError):
-        qubit_optimal_sto(1.1, bath)
+    for share in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError, match="^share must"):
+            qubit_optimal_sto(share, bath)
 
 
 def test_simultaneous_beta_swap_kraus():
@@ -533,9 +534,9 @@ def test_sto_population_matrix_exactly_gibbs(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
 def test_sto_population_matrix_validates_q(bad):
     with pytest.raises(ValueError, match="q must"):
-        sto_population_matrix(identity_blocks(3, 5), bad)
+        sto_population_matrix(permutation_blocks(3, 5, range(3)), bad)
     for q in (0.0, 1.0):  # the zero- and infinite-temperature ends
-        assert np.array_equal(sto_population_matrix(identity_blocks(3, 5), q), np.eye(3))
+        assert np.array_equal(sto_population_matrix(permutation_blocks(3, 5, range(3)), q), np.eye(3))
 
 
 def test_sto_population_matrix_tail_below_full_shells(rng):

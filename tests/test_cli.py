@@ -60,6 +60,13 @@ class TestVerify:
         assert det["p00_requested"] == 0.75
         assert det["damping_measured"] == pytest.approx(det["damping_bound"], rel=1e-9)
 
+    @pytest.mark.parametrize("p00, p11", [("0.7", 0.0), ("1", 1.0)])
+    def test_optimal_qubit_window_ends(self, capsys, p00, p11):
+        # (1 - 0.7) / 0.3 rounds to 1.0000000000000002: still the full exchange
+        code, doc = run_json(capsys, ["verify", "optimal-qubit", "--q", "0.3", "--p00", p00])
+        assert code == 0
+        assert doc["results"]["details"]["p11_measured"] == pytest.approx(p11, abs=1e-15)
+
     def test_exto_optimal(self, capsys):
         code, doc = run_json(capsys, ["verify", "exto-optimal", "--x", "0.4"])
         assert code == 0
@@ -384,6 +391,8 @@ BAD_INPUT_RUNS = [
     "decouple --p 0.5 --a 0.1 --b inf",
     "merge --r10 inf --r32 0.1 --x 0.5",
     "merge --overlap --a inf --b 0.1",
+    # (1 - x) r10 + r32 overflows
+    "merge --r10 1.7e308 --r32 1.7e308 --x 0.5",
     "cone sto --samples -5",
     "cone elto --samples -3 --depth 1",
     # the Gibbs weight of the top level underflows to 0
@@ -393,6 +402,9 @@ BAD_INPUT_RUNS = [
     "cone to --directions -3",
     "verify beta-swap --tol nan",
     "verify beta-swap --tol -1",
+    # below the retention floor 1 - q
+    "verify optimal-qubit --q 0.3 --p00 0.6",
+    "verify optimal-qubit --q 0.5 --p00 1.1",
 ]
 
 
