@@ -9,7 +9,6 @@ from .core import (
     BathSpec,
     SystemSpec,
     gibbs_state,
-    populations,
     renyi_divergence,
     trace_distance,
 )
@@ -17,7 +16,6 @@ from .channels import (
     BlockUnitary,
     KrausChannel,
     a_vectors,
-    beta_swap_qubit,
     choi_distance,
     cptp_deviation,
     exto_optimal_channel,

@@ -20,16 +20,17 @@ from .channels import KrausChannel, transition_matrix
 REACH_RTOL = 1e-12  # relative float allowance of the decoupling verdict, which is homogeneous in (a, b)
 
 
-def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
+def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int):
     """Largest |<i| channel(rho) |j>| compatible with population dynamics G
     for any channel covariant under free evolution:
     sum over same-mode entries (c, d) of |rho_cd| sqrt(G[i,c] G[j,d]).
-    rho and G must be finite (d, d) arrays and i and j levels of the system.
-    The terms are added one by one in row-major order (`cumsum`), with
-    |rho_cd| from `hypot`, so the value is that of the plain scalar sum."""
+    rho must be a finite (d, d) array, G a finite (..., d, d) batch and i and
+    j levels of the system.  The terms are added one by one in row-major
+    order (`cumsum`), with |rho_cd| from `hypot`, so each value (a float for
+    one G) is that of the plain scalar sum."""
     m = np.asarray(rho)
     g = np.asarray(G, dtype=float)
-    if m.shape != (spec.d, spec.d) or g.shape != (spec.d, spec.d):
+    if m.shape != (spec.d, spec.d) or g.shape[-2:] != (spec.d, spec.d):
         raise ValueError("dimension mismatch")
     if not np.isfinite(m).all():
         raise ValueError("rho must have finite entries")
@@ -38,9 +39,10 @@ def symmetric_bound(rho, G, spec: SystemSpec, i: int, j: int) -> float:
     (j,) = require_levels((j,), "j", spec.d, 1)
     gaps = spec.gaps
     mode = (gaps == gaps[i, j]) & (m != 0)
-    weight = np.sqrt(np.outer(np.maximum(g[i], 0.0), np.maximum(g[j], 0.0)))
-    terms = np.hypot(m.real, m.imag)[mode] * weight[mode]
-    return float(np.cumsum(np.append(0.0, terms))[-1])
+    weight = np.sqrt(np.maximum(g[..., i, :, None], 0.0) * np.maximum(g[..., j, None, :], 0.0))
+    terms = np.hypot(m.real, m.imag)[mode] * weight[..., mode]
+    total = np.cumsum(terms, axis=-1)[..., -1] if mode.any() else np.zeros(g.shape[:-2])
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,16 @@ Where one comes from the caller it is checked once, on entry:
 `verify_gibbs_preserving` passes gamma through `require_density`, and
 `exto_optimal_channel` passes G through `require_stochastic`.
 
-The mode's Gibbs weights are renormalized over the kept Fock levels, which
-makes every assembled channel exactly trace preserving; the truncation shows
-up only as an O(q^(N+1)) Gibbs-preservation error.  All reachable output
-Fock levels are kept (up to N + d - 1), never clipped.
+The assemblers renormalize the mode's Gibbs weights over the kept Fock
+levels n <= N, which makes every channel exactly trace preserving; the
+truncation shows up only as an O(q^(N+1)) Gibbs-preservation error.  All
+reachable output Fock levels are kept (up to N + d - 1), never clipped.
+The batched engine has no truncation: `ideal_mode_amplitudes` reads
+a[..., k_out, k_in, n] off a (..., shells, d, d) stack with identity blocks
+above its top shell T, weights (1-q) q^n for n <= T, and one last column
+sqrt(q^(T+1)) I, the aggregate of all n > T and not a Fock level.
+`mode_apply` turns any batch of amplitude arrays, truncated or not, into
+output states, pairing amplitudes within one coherence mode of the gaps.
 """
 
 from __future__ import annotations
@@ -340,13 +346,6 @@ def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> np.ndarray:
     return np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1)
 
 
-def beta_swap_qubit(bath: BathSpec) -> BlockUnitary:
-    """Population-exchange limit of qubit thermal contact: every excited
-    shell swaps |0, j> and |1, j-1>.  Kills all coherence; the transition
-    matrix hits the boundary p(0|0) = 1 - q up to truncation error."""
-    return permutation_blocks(2, bath.truncation + 1, (1, 0))
-
-
 def qubit_optimal_sto(share: float, bath: BathSpec) -> BlockUnitary:
     """Qubit blocks with the largest possible coherence damping factor
     sqrt(p00 * p11) at exchanged share in [0, 1], the part of the excited
@@ -441,6 +440,39 @@ def simultaneous_beta_swap_sto(bath: BathSpec):
     return table, shell_sto_channel(spec, bath, block)
 
 
+def _mode_weights(q: float, count: int) -> np.ndarray:
+    """Untruncated Gibbs weights (1-q) q^n of Fock levels n < count."""
+    return np.array([(1.0 - q) * q**n for n in range(count)])
+
+
+def ideal_mode_amplitudes(stack, q: float) -> np.ndarray:
+    """Untruncated-mode amplitudes a[..., k_out, k_in, n] of a zero-padded
+    (..., shells, d, d) stack, trusted like `shell_columns`: columns n <= T,
+    then the identity remainder of all n > T.  q lies in [0, 1]."""
+    q = require_finite(q, "q", low=0.0, high=1.0)
+    stack = np.asarray(stack)
+    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ValueError(f"stack must have trailing shape (shells, d, d), got {stack.shape}")
+    shells, d = stack.shape[-3:-1]
+    u = shell_columns(stack, shells + 1)  # column `shells` lies past the stack
+    k, n = np.nonzero(np.arange(d)[:, None] + np.arange(shells + 1) >= shells)
+    u[..., k, k, n] = 1.0  # shells above the top are identity blocks
+    return np.sqrt(np.append(_mode_weights(q, shells), q**shells)) * u
+
+
+def mode_apply(a, rho, spec: SystemSpec) -> np.ndarray:
+    """Output states of amplitude arrays a[..., k_out, k_in, n]: entry (i, j)
+    sums rho[c, d] a[i, c, n] conj(a[j, d, n]) over n and over the pairs with
+    gaps[i, c] == gaps[j, d], which share a Kraus operator."""
+    a, d, gaps = np.asarray(a), spec.d, spec.gaps
+    if a.shape[-3:-1] != (d, d) or np.shape(rho) != (d, d):
+        raise ValueError("dimension mismatch")
+    same_mode = gaps[:, :, None, None] == gaps[None, None]  # [i, c, j, d]
+    rows = a.reshape(a.shape[:-3] + (d * d, a.shape[-1]))
+    gram = (rows @ rows.conj().swapaxes(-1, -2)).reshape(a.shape[:-3] + (d, d, d, d))
+    return np.einsum("...icjd,icjd->...ij", gram, same_mode * np.asarray(rho)[:, None, :])
+
+
 def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     """Population matrix of the untruncated-mode ladder channel whose shell
     blocks follow `blocks` up to the top shell and are identity above.
@@ -454,7 +486,7 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     q = require_finite(q, "q", low=0.0, high=1.0)
     d, top = blocks.d, blocks.top_shell
     count = max(1, top + 1)  # an empty stack still reads one (zero) column
-    weights = np.array([(1.0 - q) * q**n for n in range(count)])
+    weights = _mode_weights(q, count)
     tail = [q ** max(0, top - k + 1) for k in range(d)]
     # cumsum adds the shells in order, like a running +=; a sum may pair
     # them up and change the last bits.  Adding the tail also turns the

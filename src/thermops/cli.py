@@ -34,9 +34,9 @@ from .bounds import (
 )
 from .channels import (
     BathSpec,
-    beta_swap_qubit,
     cptp_deviation,
     exto_optimal_channel,
+    permutation_blocks,
     qubit_optimal_sto,
     simultaneous_beta_swap_kraus,
     sto_channel,
@@ -114,7 +114,7 @@ def cmd_verify(args):
     tol = require_finite(args.tol, "--tol", low=0.0)
     _reject_unread(args, VERIFY_FLAGS, args.channel)
     x = q if args.x is None else require_unit_interval(args.x, "--x")
-    p00 = 0.75 if args.p00 is None else args.p00
+    p00 = 1.0 - q / 2.0 if args.p00 is None else args.p00  # default: exchanged share 1/2
     config = {"channel": args.channel, "q": q, "truncation": n_keep, "tol": tol}
     config.update((flag, {"x": x, "p00": p00}[flag]) for flag in VERIFY_FLAGS[args.channel])
     details = {}
@@ -122,7 +122,7 @@ def cmd_verify(args):
     if args.channel == "beta-swap":
         bath = BathSpec.from_q(q, n_keep)
         spec = SystemSpec.ladder(2)
-        ch = sto_channel(beta_swap_qubit(bath), spec, bath)
+        ch = sto_channel(permutation_blocks(2, n_keep + 1, (1, 0)), spec, bath)
         rho = QUBIT_TEST_STATE
         report, _ = _certified(ch, spec, gibbs_state(spec, -np.log(q)), rho, tol)
         details["truncation_gibbs_limit"] = 3.0 * q ** (n_keep + 1) / (1.0 - q)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="build a named channel and certify it")
     pv.add_argument("channel", choices=tuple(VERIFY_FLAGS))
     pv.add_argument("--x", type=float, help="gap weight of sim-beta-swap and exto-optimal only; defaults to q")
-    pv.add_argument("--p00", type=float, help="ground retention in [1 - q, 1] of optimal-qubit only; defaults to 0.75")
+    pv.add_argument("--p00", type=float, help="ground retention in [1 - q, 1] of optimal-qubit only; defaults to 1 - q/2 (exchanged share 1/2)")
     common(pv, "--truncation", "--tol")
 
     pc = sub.add_parser("cone", help="sample and export population cones")

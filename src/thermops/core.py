@@ -213,14 +213,6 @@ def gibbs_state(spec: SystemSpec, beta: float) -> np.ndarray:
     return np.diag((w / w.sum()).astype(complex))
 
 
-def populations(rho) -> np.ndarray:
-    """Occupation probabilities (real diagonal) of a (d, d) state."""
-    m = np.asarray(rho)
-    if m.ndim != 2:
-        raise ValueError(f"rho must be a matrix, got shape {m.shape}")
-    return np.real(np.diag(m)).copy()
-
-
 def renyi_divergence(p, g, alpha) -> float:
     """Order-alpha divergence between distributions (natural log).
 

@@ -2,10 +2,12 @@
 
 One test per shipped guarantee, each printing a single PASS/FAIL line with
 the measured worst case.  Heavy sweeps stack 10^4 channels' shell blocks
-into one (B, shells, d, d) array and read their amplitudes with the
-library kernel `shell_columns`; a few draws of each sweep are cross-checked
-at 1e-12 against `sto_channel` or `shell_sto_channel` before the sweep is
-trusted at scale.
+into one (B, shells, d, d) array and run them through the library's
+batched engine: amplitudes from `ideal_mode_amplitudes` (or `shell_columns`
+for truncated baths), outputs from `mode_apply`, bounds from a batched
+`symmetric_bound`.  A few draws of each sweep are cross-checked at 1e-12
+against `sto_channel` or `shell_sto_channel` before the sweep is trusted
+at scale.
 """
 
 import json
@@ -20,11 +22,13 @@ from thermops.core import BathSpec, SystemSpec, gibbs_state
 from thermops.channels import (
     BlockUnitary,
     a_vectors,
-    beta_swap_qubit,
     choi_distance,
     cptp_deviation,
     exto_optimal_channel,
     haar_stack,
+    ideal_mode_amplitudes,
+    mode_apply,
+    permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
     shell_columns,
@@ -69,15 +73,6 @@ def announce(capsys, number, name, ok, detail=""):
 # stacked shell blocks for the big sweeps
 
 
-def ideal_weights(q, n_top):
-    return (1.0 - q) * q ** np.arange(n_top + 1)
-
-
-def renorm_weights(q, n_keep):
-    w = ideal_weights(q, n_keep)
-    return w / w.sum()
-
-
 def qubit_stack(phase0, mats):
     """(B, shells, 2, 2) stack of qubit ladders: shell 0 holds the phases
     phase0 [B], shells 1, 2, ... the blocks mats [B, S, 2, 2]."""
@@ -97,36 +92,17 @@ def qutrit_stack(phase0, b1, b2):
     return stack
 
 
-def grid_apply(a, rho):
-    """Channel action reconstructed from the amplitude grid.
-
-    Only gap-matched input pairs (c - d == i - j) contribute: within one
-    Kraus operator every entry shares the same level shift, so the n-diagonal
-    amplitude products apply to same-gap pairs and nothing else."""
-    d = a.shape[1]
-    k = np.arange(d)
-    mask = (
-        (k[:, None, None, None] - k[None, None, :, None])
-        == (k[None, :, None, None] - k[None, None, None, :])
-    ).astype(float)
-    return np.einsum("bicn,bjdn,cd,icjd->bij", a, a.conj(), rho, mask, optimize=True)
-
-
-def four_level_transfer(b0, c0, bmats, cmats, w, tail=0.0):
-    """Small-gap mode transfer coefficients for stacked four-level channels.
-
-    The level pairs 0-2 and 1-3 are two qubit ladders: bmats/cmats slot s
-    holds the block coupling (level 0, n=s+1) with (level 2, n=s) resp.
-    (1, s+1) with (3, s); b0/c0 are the bottom-shell phases.  w[n] weights
-    bath level n, and m[b, i, c] sums w[n] U_c[i, c, n] conj(U_b[i, c, n])
-    over their shell columns.  tail adds the analytic remainder for
-    identity blocks above the materialized range (exact untruncated
-    channels); it feeds only the diagonal coefficient m00.
-    """
-    u_b = shell_columns(qubit_stack(b0, bmats), len(w))
-    u_c = shell_columns(qubit_stack(c0, cmats), len(w))
-    m = np.cumsum(w * u_c * u_b.conj(), axis=-1)[..., -1]  # adds n in order, as sum() may not
-    return m[:, 0, 0] + tail, m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+def four_level_amplitudes(b0, c0, bmats, cmats, q):
+    """Untruncated-mode amplitudes of stacked four-level channels whose level
+    pairs 0-2 and 1-3 are two qubit ladders under the gap-e2 mode: slot s of
+    bmats/cmats couples (level 0 resp. 1, n = s+1) with (level 2 resp. 3,
+    n = s), b0/c0 are the bottom-shell phases, and every shell above the
+    slots is identity."""
+    lower = ideal_mode_amplitudes(qubit_stack(b0, bmats), q)
+    a = np.zeros(lower.shape[:-3] + (4, 4, lower.shape[-1]), dtype=complex)
+    a[..., 0::2, 0::2, :] = lower
+    a[..., 1::2, 1::2, :] = ideal_mode_amplitudes(qubit_stack(c0, cmats), q)
+    return a
 
 
 def four_level_shell_channel(spec, bath, b0, c0, bmats, cmats):
@@ -201,7 +177,7 @@ def test_02_truncation_convergence(capsys):
     swap_ok = True
     for n_keep in (5, 10, 20, 40):
         bath = BathSpec.from_q(0.5, n_keep)
-        ch = sto_channel(beta_swap_qubit(bath), SystemSpec.ladder(2), bath)
+        ch = sto_channel(permutation_blocks(2, n_keep + 1, (1, 0)), SystemSpec.ladder(2), bath)
         limit = 3.0 * 0.5 ** (n_keep + 1) / 0.5
         swap_ok = swap_ok and verify_gibbs_preserving(ch, gamma, limit).deviation <= limit
     ok = decreasing and dists[-1] <= 1e-9 and swap_ok
@@ -245,126 +221,82 @@ def test_04_merge_bounds_saturation_and_sweep(capsys):
     # sweep: 10^4 exact (untruncated) channels with Haar pair blocks
     r10, r32 = 0.2, 0.12
     rho = four_level_rho(r10, r32)
-    j_rand = 20
+    spec = SystemSpec.four_level(1, 3)
+    j_rand = 20  # pair blocks m = 1..20; identity above
     worst_excess = -np.inf
     for x, batch, seed in ((0.3, 3334, 101), (0.5, 3333, 102), (0.8, 3333, 103)):
         rng = np.random.Generator(np.random.Philox(seed))
-        w = ideal_weights(x, j_rand)
-        slots = j_rand + 1  # pair blocks m = 1..21; the last stays identity
-        bmats = np.broadcast_to(np.eye(2, dtype=complex), (batch, slots, 2, 2)).copy()
-        cmats = bmats.copy()
-        bmats[:, : j_rand] = haar_stack(rng, batch * j_rand, 2).reshape(batch, j_rand, 2, 2)
-        cmats[:, : j_rand] = haar_stack(rng, batch * j_rand, 2).reshape(batch, j_rand, 2, 2)
+        bmats = haar_stack(rng, batch * j_rand, 2).reshape(batch, j_rand, 2, 2)
+        cmats = haar_stack(rng, batch * j_rand, 2).reshape(batch, j_rand, 2, 2)
         b0 = np.exp(2j * np.pi * rng.random(batch))
         c0 = np.exp(2j * np.pi * rng.random(batch))
-        m00, m01, m10, m11 = four_level_transfer(
-            b0, c0, bmats, cmats, w, tail=x ** (j_rand + 1)
-        )
-        down = merge_down_bound(r10, r32, x).bound
-        up = merge_up_bound(r10, r32, x).bound
+        out = mode_apply(four_level_amplitudes(b0, c0, bmats, cmats, x), rho, spec)
         worst_excess = max(
             worst_excess,
-            (np.abs(m00 * r10 + m01 * r32) - down).max(),
-            (np.abs(m10 * r10 + m11 * r32) - up).max(),
+            (np.abs(out[:, 1, 0]) - merge_down_bound(r10, r32, x).bound).max(),
+            (np.abs(out[:, 3, 2]) - merge_up_bound(r10, r32, x).bound).max(),
         )
 
-    # cross-validate the transfer kernel against the library assembler
-    spec = SystemSpec.four_level(1, 3)
-    bath = BathSpec.from_q(0.5, 20, epsilon=3)
+    # cross-validate the engine against the library assembler at a deep truncation
+    bath = BathSpec.from_q(0.5, 60, epsilon=3)
     rng = np.random.Generator(np.random.Philox(7))
     kernel_dev = 0.0
     for _ in range(3):
-        bmats = haar_stack(rng, 21, 2).reshape(21, 2, 2)
-        cmats = haar_stack(rng, 21, 2).reshape(21, 2, 2)
+        bmats = haar_stack(rng, j_rand, 2)
+        cmats = haar_stack(rng, j_rand, 2)
         b0, c0 = np.exp(2j * np.pi * rng.random(2))
-        ch = four_level_shell_channel(spec, bath, b0, c0, bmats, cmats)
-        ref = ch.apply(rho)
-        m00, m01, m10, m11 = four_level_transfer(
-            np.array([b0]), np.array([c0]), bmats[None], cmats[None],
-            renorm_weights(0.5, 20),
-        )
-        kernel_dev = max(
-            kernel_dev,
-            abs(ref[1, 0] - (m00[0] * r10 + m01[0] * r32)),
-            abs(ref[3, 2] - (m10[0] * r10 + m11[0] * r32)),
-        )
+        ref = four_level_shell_channel(spec, bath, b0, c0, bmats, cmats).apply(rho)
+        a = four_level_amplitudes(np.array([b0]), np.array([c0]), bmats[None], cmats[None], 0.5)
+        kernel_dev = max(kernel_dev, np.abs(mode_apply(a, rho, spec)[0] - ref).max())
 
     ok = branch_dev <= 1e-12 and worst_excess <= 1e-9 and kernel_dev <= 1e-12
     announce(
         capsys, 4, "merge-bounds-saturation-and-sweep", ok,
         f"branch dev {branch_dev:.1e}; worst excess over bound {worst_excess:.2e} "
-        f"across 10^4 channels; kernel vs assembler dev {kernel_dev:.1e}",
+        f"across 10^4 channels; engine vs deep-truncation assembler dev {kernel_dev:.1e}",
     )
     assert ok
 
 
 def test_05_mode_transfer_bound_sweep(capsys):
-    q, n_keep = 0.8, 15
-    w = renorm_weights(q, n_keep)
-    worst_excess = -np.inf
-    kernel_dev = 0.0
-
-    # qubit half
+    q, n_keep, batch = 0.8, 15, 5000
+    bath = BathSpec.from_q(q, n_keep)
     rng = np.random.Generator(np.random.Philox(201))
-    batch = 5000
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch * (n_keep + 1), 2).reshape(batch, n_keep + 1, 2, 2)
-    stacks = qubit_stack(phase0, b1)
-    a = np.sqrt(w) * shell_columns(stacks, len(w))
-    g = (np.abs(a) ** 2).sum(axis=3)
-    out = grid_apply(a, QUBIT_RHO)
-    bound = abs(QUBIT_RHO[1, 0]) * np.sqrt(g[:, 1, 1] * g[:, 0, 0])
-    worst_excess = max(worst_excess, (np.abs(out[:, 1, 0]) - bound).max())
-
-    bath2 = BathSpec.from_q(q, n_keep)
-    spec2 = SystemSpec.ladder(2)
-    for b in range(3):
-        bu = BlockUnitary(stacks[b])
-        kernel_dev = max(
-            kernel_dev,
-            np.abs(a_vectors(bu, bath2) - a[b]).max(),
-            np.abs(sto_channel(bu, spec2, bath2).apply(QUBIT_RHO) - out[b]).max(),
-            abs(bound[b] - symmetric_bound(QUBIT_RHO, g[b], spec2, 1, 0)),
-        )
-
-    # qutrit half
+    qubits = qubit_stack(phase0, b1)
     rng = np.random.Generator(np.random.Philox(202))
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
     b2 = haar_stack(rng, batch * (n_keep + 1), 3).reshape(batch, n_keep + 1, 3, 3)
-    stacks = qutrit_stack(phase0, b1, b2)
-    a = np.sqrt(w) * shell_columns(stacks, len(w))
-    g = (np.abs(a) ** 2).sum(axis=3)
-    out = grid_apply(a, QUTRIT_RHO)
-    mode_pairs = {(1, 0): ((1, 0), (2, 1)), (2, 1): ((1, 0), (2, 1)), (2, 0): ((2, 0),)}
-    bounds3 = {}
-    for (i, j), pairs in mode_pairs.items():
-        bounds3[i, j] = sum(
-            abs(QUTRIT_RHO[c, d]) * np.sqrt(g[:, i, c] * g[:, j, d]) for c, d in pairs
-        )
-        worst_excess = max(worst_excess, (np.abs(out[:, i, j]) - bounds3[i, j]).max())
-
-    bath3 = BathSpec.from_q(q, n_keep)
-    spec3 = SystemSpec.ladder(3)
-    for b in range(3):
-        bu = BlockUnitary(stacks[b])
-        kernel_dev = max(
-            kernel_dev,
-            np.abs(a_vectors(bu, bath3) - a[b]).max(),
-            np.abs(sto_channel(bu, spec3, bath3).apply(QUTRIT_RHO) - out[b]).max(),
-            max(
-                abs(bounds3[i, j][b] - symmetric_bound(QUTRIT_RHO, g[b], spec3, i, j))
-                for i, j in mode_pairs
-            ),
-        )
+    qutrits = qutrit_stack(phase0, b1, b2)
+    qutrit_entries = ((1, 0), (2, 1), (2, 0))
+    worst_excess = -np.inf
+    kernel_dev = 0.0
+    for stacks, rho, entries in ((qubits, QUBIT_RHO, ((1, 0),)), (qutrits, QUTRIT_RHO, qutrit_entries)):
+        spec = SystemSpec.ladder(len(rho))
+        a = np.sqrt(bath.gibbs_weights()) * shell_columns(stacks, n_keep + 1)  # a_vectors of each stack
+        g = (np.abs(a) ** 2).sum(axis=-1)
+        out = mode_apply(a, rho, spec)
+        for i, j in entries:
+            bound = symmetric_bound(rho, g, spec, i, j)
+            worst_excess = max(worst_excess, (np.abs(out[:, i, j]) - bound).max())
+        for b in range(3):
+            bu = BlockUnitary(stacks[b])
+            kernel_dev = max(
+                kernel_dev,
+                np.abs(a_vectors(bu, bath) - a[b]).max(),
+                np.abs(sto_channel(bu, spec, bath).apply(rho) - out[b]).max(),
+            )
 
     # equality half: the per-gap optimal channel saturates the bound
     rng = np.random.Generator(np.random.Philox(203))
+    spec3 = SystemSpec.ladder(3)
     worst_ratio_dev = 0.0
     for _ in range(20):
         g_rand = sto_population_matrix(random_blocks(3, 12, rng), 0.5)
         exto = exto_optimal_channel(g_rand, spec3)
-        for i, j in mode_pairs:
+        for i, j in qutrit_entries:
             rep = saturation_check(exto, QUTRIT_RHO, spec3, i, j)
             worst_ratio_dev = max(worst_ratio_dev, abs(rep.ratio - 1.0))
 
@@ -392,7 +324,7 @@ def test_06_qubit_reachability_grid(capsys):
         agreements += curve == lp == in_segment == cto
     bath = BathSpec.from_q(q, 40)
     spec = SystemSpec.ladder(2)
-    swap = transition_matrix(sto_channel(beta_swap_qubit(bath), spec, bath))
+    swap = transition_matrix(sto_channel(permutation_blocks(2, 41, (1, 0)), spec, bath))
     low_end_dev = abs((swap @ p)[0] - lo)
     high_end_dev = abs((np.eye(2) @ p)[0] - hi)
     ok = agreements == 101 and low_end_dev <= 1e-9 and high_end_dev == 0.0
@@ -468,38 +400,30 @@ def test_09_overlap_bound_sweep(capsys):
     rho = np.array(
         [[0.5, a_in, 0.0], [a_in, 0.3, b_in], [0.0, b_in, 0.2]], dtype=complex
     )
+    spec = SystemSpec.ladder(3)
     rng = np.random.Generator(np.random.Philox(301))
-    w = ideal_weights(q, j_rand)
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
-    slots = j_rand + 1  # shells 2..22; the top two stay identity
-    b2 = np.broadcast_to(np.eye(3, dtype=complex), (batch, slots, 3, 3)).copy()
-    b2[:, : j_rand - 1] = haar_stack(rng, batch * (j_rand - 1), 3).reshape(
-        batch, j_rand - 1, 3, 3
-    )
-    a = np.sqrt(w) * shell_columns(qutrit_stack(phase0, b1, b2), len(w))
-    out = grid_apply(a, rho) + q ** (j_rand + 1) * rho  # identity-block remainder
+    b2 = haar_stack(rng, batch * (j_rand - 1), 3).reshape(batch, j_rand - 1, 3, 3)  # shells 2..20
+    out = mode_apply(ideal_mode_amplitudes(qutrit_stack(phase0, b1, b2), q), rho, spec)
 
     bounds = overlap_merge_bounds(a_in, b_in, q)
     lower = np.abs(out[:, 1, 0])
     upper = np.abs(out[:, 2, 1])
     excess = max((lower - bounds["down"]).max(), (upper - bounds["up"]).max())
 
-    # cross-validate the identity-tail kernel against a deep truncation
+    # cross-validate the engine against a deep truncation
     rng = np.random.Generator(np.random.Philox(302))
     j_small, n_deep = 8, 60
-    w_small = ideal_weights(q, j_small)
     ph = np.exp(2j * np.pi * rng.random(1))
     b1s = haar_stack(rng, 1, 2)
-    b2s = np.broadcast_to(np.eye(3, dtype=complex), (1, j_small + 1, 3, 3)).copy()
-    b2s[0, : j_small - 1] = haar_stack(rng, j_small - 1, 3)
-    a_small = np.sqrt(w_small) * shell_columns(qutrit_stack(ph, b1s, b2s), len(w_small))
-    kernel_out = grid_apply(a_small, rho)[0] + q ** (j_small + 1) * rho
+    b2s = haar_stack(rng, j_small - 1, 3)[None]  # shells 2..j_small
+    engine_out = mode_apply(ideal_mode_amplitudes(qutrit_stack(ph, b1s, b2s), q), rho, spec)[0]
     b2_deep = np.broadcast_to(np.eye(3, dtype=complex), (1, n_deep + 1, 3, 3)).copy()
-    b2_deep[0, : j_small + 1] = b2s[0]
+    b2_deep[0, : j_small - 1] = b2s[0]
     bath = BathSpec.from_q(q, n_deep)
-    ref = sto_channel(BlockUnitary(qutrit_stack(ph, b1s, b2_deep)[0]), SystemSpec.ladder(3), bath).apply(rho)
-    kernel_dev = np.abs(ref - kernel_out).max()
+    ref = sto_channel(BlockUnitary(qutrit_stack(ph, b1s, b2_deep)[0]), spec, bath).apply(rho)
+    kernel_dev = np.abs(ref - engine_out).max()
 
     best_down = lower.max() / bounds["down"]
     best_up = upper.max() / bounds["up"]

@@ -69,6 +69,23 @@ def test_symmetric_bound_matches_the_loop_bit_for_bit(rng):
         assert symmetric_bound(rho, g, spec, i, j) == _loop_symmetric_bound(rho, g, spec, i, j)
 
 
+def test_symmetric_bound_batched_equals_the_loop(rng):
+    for spec in (SystemSpec.ladder(3), SystemSpec.four_level(1, 3), SystemSpec.ladder(9)):
+        d = spec.d
+        rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho[rng.random((d, d)) < 0.2] = 0.0
+        rho[d - 1, 0] = 0.0  # the corner mode holds no nonzero entry: the bound is 0
+        g = rng.random((5, 4, d, d))
+        g[rng.random(g.shape) < 0.1] = -1e-13
+        for i, j in ((1, 0), (0, 1), (d - 1, 0), (d - 1, d - 1)):
+            got = symmetric_bound(rho, g, spec, i, j)
+            want = [[_loop_symmetric_bound(rho, gg, spec, i, j) for gg in row] for row in g]
+            assert got.shape == (5, 4) and np.array_equal(got, want)
+            assert type(symmetric_bound(rho, g[2, 3], spec, i, j)) is float
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        symmetric_bound(np.eye(3) / 3, np.ones((5, 3, 4)), SystemSpec.ladder(3), 1, 0)
+
+
 _QUTRIT = SystemSpec.ladder(3)
 _RHO3 = np.eye(3, dtype=complex) / 3
 _G3 = np.eye(3)

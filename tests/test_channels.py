@@ -9,12 +9,13 @@ from thermops.channels import (
     BlockUnitary,
     KrausChannel,
     a_vectors,
-    beta_swap_qubit,
     choi_distance,
     cptp_deviation,
     damping_blocks,
     exto_optimal_channel,
     haar_stack,
+    ideal_mode_amplitudes,
+    mode_apply,
     permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
@@ -414,7 +415,7 @@ def test_mode_independence(rng):
 def test_beta_swap_qubit():
     q = 0.5
     bath = BathSpec.from_q(q, N_KEEP)
-    ch = sto_channel(beta_swap_qubit(bath), SystemSpec.ladder(2), bath)
+    ch = sto_channel(permutation_blocks(2, N_KEEP + 1, (1, 0)), SystemSpec.ladder(2), bath)
     g = transition_matrix(ch)
     w0 = (1.0 - q) / (1.0 - q ** (N_KEEP + 1))
     assert g[0, 0] == pytest.approx(w0, abs=1e-14)
@@ -623,6 +624,69 @@ def test_block_families_match_per_shell_construction(d, rng):
             size = min(d, j + 1)
             assert np.array_equal(got[j, :size, :size], haar_stack(ref_rng, 1, size)[0])
             assert not got[j, size:].any() and not got[j, :, size:].any()
+
+
+# ---------------------------------------------------------------------------
+# the batched single-mode engine against the Kraus assemblers
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_mode_apply_matches_sto_channel(d, rng):
+    spec = SystemSpec.ladder(d)
+    bath = BathSpec(0.6, 12)
+    blocks = [random_blocks(d, bath.truncation + d - 1, rng) for _ in range(3)]
+    rho = random_test_state(rng, d)
+    out = mode_apply(np.stack([a_vectors(b, bath) for b in blocks]), rho, spec)
+    assert out.shape == (3, d, d)
+    for b, o in zip(blocks, out):
+        assert np.abs(o - sto_channel(b, spec, bath).apply(rho)).max() <= 1e-12
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        mode_apply(a_vectors(blocks[0], bath), np.eye(d + 1) / (d + 1), spec)
+
+
+def test_mode_apply_matches_shell_channel_on_four_level_grid(rng):
+    # the level pairs 0-2 and 1-3 are two qubit ladders under the gap-3 mode;
+    # the gap-1 coherences between them share modes with no ladder's
+    spec = SystemSpec.four_level(1, 3)
+    bath = BathSpec(0.4, 10, epsilon=3)
+    lower, upper = (random_blocks(2, bath.truncation + 1, rng) for _ in range(2))
+    a = np.zeros((4, 4, bath.truncation + 1), dtype=complex)
+    a[0::2, 0::2] = a_vectors(lower, bath)
+    a[1::2, 1::2] = a_vectors(upper, bath)
+
+    def block(energy, states):
+        level, n = states[0]  # joint state (0 or 1, n) opens shell n of its ladder
+        return (lower if level == 0 else upper).stack[n, : len(states), : len(states)]
+
+    rho = random_test_state(rng, 4)
+    ref = shell_sto_channel(spec, bath, block).apply(rho)
+    assert np.abs(mode_apply(a, rho, spec) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ideal_mode_amplitudes_are_the_untruncated_channel(d, rng):
+    spec = SystemSpec.ladder(d)
+    for top in sorted({0, d - 1, d + 6}):
+        blocks = [random_blocks(d, top, rng) for _ in range(3)]
+        for q in (0.0, 0.3, 0.8, 1.0):
+            a = ideal_mode_amplitudes(np.stack([b.stack for b in blocks]), q)
+            assert a.shape == (3, d, d, top + 2)
+            gamma = ladder_gamma(d, q)
+            for b, amp, out in zip(blocks, a, mode_apply(a, gamma, spec)):
+                assert np.abs((np.abs(amp) ** 2).sum(axis=-1) - sto_population_matrix(b, q)).max() <= 1e-15
+                assert np.abs(out - gamma).max() <= 1e-15
+            # the last column is the identity remainder of all n > top
+            assert np.array_equal(a[..., -1], np.broadcast_to(np.sqrt(q ** (top + 1)) * np.eye(d), (3, d, d)))
+
+
+def test_ideal_mode_amplitudes_validation():
+    stack = permutation_blocks(3, 5, range(3)).stack
+    for bad in (np.nan, -0.1, 1.1):
+        with pytest.raises(ValueError, match="^q must"):
+            ideal_mode_amplitudes(stack, bad)
+    for shape in ((3, 3), (6, 3, 2), (2, 6, 2, 3)):
+        with pytest.raises(ValueError, match="^stack must have trailing shape"):
+            ideal_mode_amplitudes(np.zeros(shape, dtype=complex), 0.5)
 
 
 def test_exto_optimal_channel(rng):

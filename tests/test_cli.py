@@ -60,6 +60,13 @@ class TestVerify:
         assert det["p00_requested"] == 0.75
         assert det["damping_measured"] == pytest.approx(det["damping_bound"], rel=1e-9)
 
+    def test_optimal_qubit_default_is_valid_at_small_q(self, capsys):
+        # the default share 1/2 gives p00 = 1 - q/2, inside [1 - q, 1] at every q
+        code, doc = run_json(capsys, ["verify", "optimal-qubit", "--q", "0.2"])
+        assert code == 0
+        assert doc["config"]["p00"] == 0.9
+        assert doc["results"]["details"]["p11_measured"] == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("p00, p11", [("0.7", 0.0), ("1", 1.0)])
     def test_optimal_qubit_window_ends(self, capsys, p00, p11):
         # (1 - 0.7) / 0.3 rounds to 1.0000000000000002: still the full exchange

@@ -46,11 +46,16 @@ def test_spanned_targets_exist():
     [
         lambda w: w.Certify(1, sizes=((2, 10), (3, 10)), compose_truncation=10),
         lambda w: w.ConeSweep(1, elto_random=10, sto_random=10),
+        lambda w: w.ConeAll(1, samples=10, directions=12, depth=2),
     ],
-    ids=["certify", "cone-sweep"],
+    ids=["certify", "cone-sweep", "cone-all"],
 )
-def test_workload_runs_untraced(make):
-    """One iteration of an in-process workload at the smoke-check sizes."""
-    workload = make(_perfbench_module("workloads"))
-    checks = workload.check(workload.run(0))
-    assert checks and all(checks.values()), checks
+def test_workload_runs_untraced(make, tmp_path, monkeypatch):
+    """Two iterations of a workload at the smoke-check sizes; `cone-all`
+    runs the CLI in a fresh process and writes its document under tmp_path."""
+    workloads = _perfbench_module("workloads")
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    workload = make(workloads)
+    for i in range(2):  # the second check compares its bytes with the first
+        checks = workload.check(workload.run(i))
+        assert checks and all(checks.values()), checks
