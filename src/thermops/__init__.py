@@ -21,7 +21,6 @@ from .channels import (
     exto_optimal_channel,
     qubit_optimal_sto,
     random_blocks,
-    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,

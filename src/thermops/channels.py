@@ -8,13 +8,14 @@ operators labeled by the mode transition n -> m; such a Kraus operator moves
 every system level up by s = n - m rungs, so it carries a single energy-shift
 tag and the channel is automatically covariant under free evolution.
 
-A `BlockUnitary` is one read-only, zero-padded (shells, d, d) `stack`, its
-only field, checked once for zero padding and unitarity.  One kernel reads
-the ladder amplitudes out of it: `shell_columns` gathers
-U[k_out, k_in, n] = stack[k_in + n, k_out, k_in], the column of |k_in, n>
-in its shell, with one array slice per input level (and over any leading
-batch axes).  `a_vectors` weights it by sqrt(gamma_n); `sto_population_matrix`
-sums its squared moduli over n.
+A `BlockUnitary` is one read-only, zero-padded (..., shells, d, d) `stack`,
+its only field: one channel or a batch along the leading axes, checked once
+for zero padding and unitarity.  It is the only stack format the readers
+take.  One private kernel reads the ladder amplitudes out of it:
+`_shell_columns` gathers U[..., k_out, k_in, n] = stack[..., k_in + n,
+k_out, k_in], the column of |k_in, n> in its shell, with one array slice
+per input level.  `a_vectors` weights it by sqrt(gamma_n);
+`sto_population_matrix` sums its squared moduli over n.
 
 A `KrausChannel` keeps its operators in one read-only (operators, d, d)
 array, so application, composition, the Choi matrix and the population
@@ -31,7 +32,8 @@ vanish between entries of different energy gaps.  Every energy-shift tag
 and gap test reads the one integer array `SystemSpec.gaps`.
 
 States and population dynamics are plain arrays: `transition_matrix` and
-`sto_population_matrix` return G[k_out, k_in] as a float (d, d) array.
+`sto_population_matrix` return G[k_out, k_in] as a float (d, d) array,
+one per batch member.
 Where one comes from the caller it is checked once, on entry:
 `verify_gibbs_preserving` passes gamma through `require_density`, and
 `exto_optimal_channel` passes G through `require_stochastic`.
@@ -41,8 +43,8 @@ levels n <= N, which makes every channel exactly trace preserving; the
 truncation shows up only as an O(q^(N+1)) Gibbs-preservation error.  All
 reachable output Fock levels are kept (up to N + d - 1), never clipped.
 The batched engine has no truncation: `ideal_mode_amplitudes` reads
-a[..., k_out, k_in, n] off a (..., shells, d, d) stack with identity blocks
-above its top shell T, weights (1-q) q^n for n <= T, and one last column
+a[..., k_out, k_in, n] off the blocks with identity blocks above their top
+shell T, weights (1-q) q^n for n <= T, and one last column
 sqrt(q^(T+1)) I, the aggregate of all n > T and not a Fock level.
 `mode_apply` turns any batch of amplitude arrays, truncated or not, into
 output states, pairing amplitudes within one coherence mode of the gaps.
@@ -84,25 +86,28 @@ def _check_unitary(u: np.ndarray, identity: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class BlockUnitary:
     """Shell blocks of an energy-conserving joint unitary on a d-level
-    ladder plus one resonant mode, as one zero-padded stack.
+    ladder plus one resonant mode, as one zero-padded stack, or a batch of
+    such stacks along leading axes.
 
-    stack[j] is the block of shell j (total energy j quanta): its leading
-    min(d, j+1) rows and columns act on the joint states |k, j-k>, and
-    every entry outside them is zero.  The input is copied to a read-only
-    complex array of shape (shells, d, d), d >= 1 (zero shells is allowed),
-    and checked once: the padding must be zero (NaN fails), and each
-    stack[j]^dagger stack[j] must be the identity on shell j's levels."""
+    stack[..., j, :, :] is the block of shell j (total energy j quanta): its
+    leading min(d, j+1) rows and columns act on the joint states |k, j-k>,
+    and every entry outside them is zero.  The input is copied to a
+    read-only complex array of shape (..., shells, d, d), d >= 1 (zero
+    shells is allowed), and checked once over the whole batch: the padding
+    must be zero (NaN fails), and every block^dagger block must be the
+    identity on its shell's levels."""
 
     stack: np.ndarray
 
     def __post_init__(self):
         stack = np.array(self.stack, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-            raise ValueError(f"stack must have shape (shells, d, d) with d >= 1, got {stack.shape}")
-        shells, d = stack.shape[:2]
+        if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1:
+            raise ValueError(f"stack must have shape (..., shells, d, d) with d >= 1, got {stack.shape}")
+        shells, d = stack.shape[-3:-1]
         in_shell = np.arange(d) <= np.arange(shells)[:, None]  # level k lies in shell j
         outside = ~(in_shell[:, :, None] & in_shell[:, None, :])
-        bad = np.flatnonzero(((stack != 0) & outside).any(axis=(1, 2)))  # NaN != 0 as well
+        per_shell = tuple(range(stack.ndim - 3)) + (-2, -1)  # reduce all axes but the shell's
+        bad = np.flatnonzero(((stack != 0) & outside).any(axis=per_shell))  # NaN != 0 as well
         if bad.size:
             raise ValueError(f"shell {bad[0]} is nonzero outside its {bad[0] + 1}x{bad[0] + 1} block")
         _check_unitary(stack, np.eye(d) * in_shell[:, None])
@@ -111,14 +116,14 @@ class BlockUnitary:
 
     @property
     def d(self) -> int:
-        return self.stack.shape[1]
+        return self.stack.shape[-1]
 
     @property
     def top_shell(self) -> int:
-        return len(self.stack) - 1
+        return self.stack.shape[-3] - 1
 
 
-def shell_columns(stack: np.ndarray, count: int) -> np.ndarray:
+def _shell_columns(stack: np.ndarray, count: int) -> np.ndarray:
     """The ladder amplitude kernel: U[..., k_out, k_in, n] =
     stack[..., k_in + n, k_out, k_in] for n < count, read from a zero-padded
     (..., shells, d, d) stack (leading axes are a batch).  Column n of input
@@ -326,7 +331,10 @@ def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> Kraus
     Input Fock levels run over the kept range n <= N; every reachable output
     level m <= n + d - 1 is kept, so sum K'K = 1 holds exactly.  The
     operators come from the `a_vectors` amplitudes, in canonical form.
+    `blocks` must be one stack, not a batch.
     """
+    if blocks.stack.ndim != 3:
+        raise ValueError(f"sto_channel builds one channel, got a batch of shape {blocks.stack.shape[:-3]}")
     if spec.d != blocks.d:
         raise ValueError("block dimension does not match the system")
     if spec.energies != tuple(bath.epsilon * k for k in range(spec.d)):
@@ -335,15 +343,15 @@ def sto_channel(blocks: BlockUnitary, spec: SystemSpec, bath: BathSpec) -> Kraus
 
 
 def a_vectors(blocks: BlockUnitary, bath: BathSpec) -> np.ndarray:
-    """Amplitudes A[k_out, k_in, n] = sqrt(gamma_n) U^(k_in + n)[k_out, k_in]
-    of the ladder channel, from the `shell_columns` of the stack: k_in ->
-    k_out with the mode starting in Fock level n.  sum_n |A|^2 gives the
-    transition probabilities, inner products over n the coherence
-    transfers."""
+    """Amplitudes A[..., k_out, k_in, n] = sqrt(gamma_n) U^(k_in + n)[k_out, k_in]
+    of the ladder channel, from the `_shell_columns` of the stack (one per
+    batch member): k_in -> k_out with the mode starting in Fock level n.
+    sum_n |A|^2 gives the transition probabilities, inner products over n
+    the coherence transfers."""
     need = bath.truncation + blocks.d - 1
     if blocks.top_shell < need:
         raise ValueError(f"blocks must cover shells 0..{need}, got {blocks.top_shell}")
-    return np.sqrt(bath.gibbs_weights()) * shell_columns(blocks.stack, bath.truncation + 1)
+    return np.sqrt(bath.gibbs_weights()) * _shell_columns(blocks.stack, bath.truncation + 1)
 
 
 def qubit_optimal_sto(share: float, bath: BathSpec) -> BlockUnitary:
@@ -445,16 +453,13 @@ def _mode_weights(q: float, count: int) -> np.ndarray:
     return np.array([(1.0 - q) * q**n for n in range(count)])
 
 
-def ideal_mode_amplitudes(stack, q: float) -> np.ndarray:
-    """Untruncated-mode amplitudes a[..., k_out, k_in, n] of a zero-padded
-    (..., shells, d, d) stack, trusted like `shell_columns`: columns n <= T,
-    then the identity remainder of all n > T.  q lies in [0, 1]."""
+def ideal_mode_amplitudes(blocks: BlockUnitary, q: float) -> np.ndarray:
+    """Untruncated-mode amplitudes a[..., k_out, k_in, n] of the blocks (one
+    stack or a batch): columns n <= T, then the identity remainder of all
+    n > T.  q lies in [0, 1]."""
     q = require_finite(q, "q", low=0.0, high=1.0)
-    stack = np.asarray(stack)
-    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
-        raise ValueError(f"stack must have trailing shape (shells, d, d), got {stack.shape}")
-    shells, d = stack.shape[-3:-1]
-    u = shell_columns(stack, shells + 1)  # column `shells` lies past the stack
+    d, shells = blocks.d, blocks.top_shell + 1
+    u = _shell_columns(blocks.stack, shells + 1)  # column `shells` lies past the stack
     k, n = np.nonzero(np.arange(d)[:, None] + np.arange(shells + 1) >= shells)
     u[..., k, k, n] = 1.0  # shells above the top are identity blocks
     return np.sqrt(np.append(_mode_weights(q, shells), q**shells)) * u
@@ -475,10 +480,11 @@ def mode_apply(a, rho, spec: SystemSpec) -> np.ndarray:
 
 def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     """Population matrix of the untruncated-mode ladder channel whose shell
-    blocks follow `blocks` up to the top shell and are identity above.
+    blocks follow `blocks` up to the top shell and are identity above (one
+    (d, d) matrix per batch member).
 
     Exactly Gibbs stochastic: column k sums the geometric weights
-    (1-q) q^n times |U[:, k, n]|^2 over the `shell_columns` U of the stack
+    (1-q) q^n times |U[:, k, n]|^2 over the `_shell_columns` U of the stack
     (shells k..top hold input level k), plus the identity tail
     q^max(0, top-k+1) on the diagonal.  Useful where membership tolerances
     are tighter than any finite truncation error.  q must be finite and
@@ -492,7 +498,7 @@ def sto_population_matrix(blocks: BlockUnitary, q: float) -> np.ndarray:
     # them up and change the last bits.  Adding the tail also turns the
     # strided [..., -1] view into a C-contiguous matrix, which `g @ p`
     # rounds like every other matrix.
-    g = np.cumsum(weights * np.abs(shell_columns(blocks.stack, count)) ** 2, axis=-1)[..., -1]
+    g = np.cumsum(weights * np.abs(_shell_columns(blocks.stack, count)) ** 2, axis=-1)[..., -1]
     return g + np.diag(tail)
 
 

@@ -254,13 +254,8 @@ def cmd_merge(args):
     r10, r32, x = args.r10, args.r32, args.x
     down = merge_down_bound(r10, r32, x)
     up = merge_up_bound(r10, r32, x)
-    # measure the simultaneous swap on a matching aligned-phase state; scale
-    # the coherences into the positive cone of the test populations first
-    # (mode action is linear, so the measurement unscales exactly)
-    top = max(r10, r32)
-    s = 1.0 if top <= 0.2 else 0.2 / top
-    out = simultaneous_beta_swap_kraus(x, e2=1).apply(_four_level_test_state(s * r10, s * r32))
-    swap_down, swap_up = abs(out[1, 0]) / s, abs(out[3, 2]) / s
+    out = simultaneous_beta_swap_kraus(x, e2=1).apply(_four_level_test_state(r10, r32))
+    swap_down, swap_up = abs(out[1, 0]), abs(out[3, 2])
     results = {
         "down": {
             "bound": down.bound,

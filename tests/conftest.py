@@ -1,7 +1,17 @@
-import numpy as np
-import pytest
+import os
+import sys
+from pathlib import Path
 
-from thermops.core import gibbs_ladder
+# Run from a source checkout without an install: put `src` first on this
+# process's path and on PYTHONPATH, which the `python -m thermops` children inherit.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from thermops.core import gibbs_ladder  # noqa: E402
 
 
 @pytest.fixture

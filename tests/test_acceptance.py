@@ -2,9 +2,9 @@
 
 One test per shipped guarantee, each printing a single PASS/FAIL line with
 the measured worst case.  Heavy sweeps stack 10^4 channels' shell blocks
-into one (B, shells, d, d) array and run them through the library's
-batched engine: amplitudes from `ideal_mode_amplitudes` (or `shell_columns`
-for truncated baths), outputs from `mode_apply`, bounds from a batched
+into one batched `BlockUnitary` and run them through the library's batched
+engine: amplitudes from `ideal_mode_amplitudes` (or `a_vectors` for
+truncated baths), outputs from `mode_apply`, bounds from a batched
 `symmetric_bound`.  A few draws of each sweep are cross-checked at 1e-12
 against `sto_channel` or `shell_sto_channel` before the sweep is trusted
 at scale.
@@ -31,7 +31,6 @@ from thermops.channels import (
     permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
-    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,
@@ -73,23 +72,24 @@ def announce(capsys, number, name, ok, detail=""):
 # stacked shell blocks for the big sweeps
 
 
-def qubit_stack(phase0, mats):
-    """(B, shells, 2, 2) stack of qubit ladders: shell 0 holds the phases
-    phase0 [B], shells 1, 2, ... the blocks mats [B, S, 2, 2]."""
+def qubit_blocks(phase0, mats):
+    """Batch of B qubit ladders, a (B, shells, 2, 2) `BlockUnitary`: shell 0
+    holds the phases phase0 [B], shells 1, 2, ... the blocks mats [B, S, 2, 2]."""
     stack = np.zeros((len(phase0), mats.shape[1] + 1, 2, 2), dtype=complex)
     stack[:, 0, 0, 0] = phase0
     stack[:, 1:] = mats
-    return stack
+    return BlockUnitary(stack)
 
 
-def qutrit_stack(phase0, b1, b2):
-    """(B, shells, 3, 3) stack of qutrit ladders: phases phase0 [B] on
-    shell 0, blocks b1 [B, 2, 2] on shell 1, b2 [B, S, 3, 3] on shells 2, 3, ..."""
+def qutrit_blocks(phase0, b1, b2):
+    """Batch of B qutrit ladders, a (B, shells, 3, 3) `BlockUnitary`: phases
+    phase0 [B] on shell 0, blocks b1 [B, 2, 2] on shell 1, b2 [B, S, 3, 3]
+    on shells 2, 3, ..."""
     stack = np.zeros((len(phase0), b2.shape[1] + 2, 3, 3), dtype=complex)
     stack[:, 0, 0, 0] = phase0
     stack[:, 1, :2, :2] = b1
     stack[:, 2:] = b2
-    return stack
+    return BlockUnitary(stack)
 
 
 def four_level_amplitudes(b0, c0, bmats, cmats, q):
@@ -98,10 +98,10 @@ def four_level_amplitudes(b0, c0, bmats, cmats, q):
     bmats/cmats couples (level 0 resp. 1, n = s+1) with (level 2 resp. 3,
     n = s), b0/c0 are the bottom-shell phases, and every shell above the
     slots is identity."""
-    lower = ideal_mode_amplitudes(qubit_stack(b0, bmats), q)
+    lower = ideal_mode_amplitudes(qubit_blocks(b0, bmats), q)
     a = np.zeros(lower.shape[:-3] + (4, 4, lower.shape[-1]), dtype=complex)
     a[..., 0::2, 0::2, :] = lower
-    a[..., 1::2, 1::2, :] = ideal_mode_amplitudes(qubit_stack(c0, cmats), q)
+    a[..., 1::2, 1::2, :] = ideal_mode_amplitudes(qubit_blocks(c0, cmats), q)
     return a
 
 
@@ -264,25 +264,25 @@ def test_05_mode_transfer_bound_sweep(capsys):
     rng = np.random.Generator(np.random.Philox(201))
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch * (n_keep + 1), 2).reshape(batch, n_keep + 1, 2, 2)
-    qubits = qubit_stack(phase0, b1)
+    qubits = qubit_blocks(phase0, b1)
     rng = np.random.Generator(np.random.Philox(202))
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
     b2 = haar_stack(rng, batch * (n_keep + 1), 3).reshape(batch, n_keep + 1, 3, 3)
-    qutrits = qutrit_stack(phase0, b1, b2)
+    qutrits = qutrit_blocks(phase0, b1, b2)
     qutrit_entries = ((1, 0), (2, 1), (2, 0))
     worst_excess = -np.inf
     kernel_dev = 0.0
-    for stacks, rho, entries in ((qubits, QUBIT_RHO, ((1, 0),)), (qutrits, QUTRIT_RHO, qutrit_entries)):
+    for blocks, rho, entries in ((qubits, QUBIT_RHO, ((1, 0),)), (qutrits, QUTRIT_RHO, qutrit_entries)):
         spec = SystemSpec.ladder(len(rho))
-        a = np.sqrt(bath.gibbs_weights()) * shell_columns(stacks, n_keep + 1)  # a_vectors of each stack
+        a = a_vectors(blocks, bath)
         g = (np.abs(a) ** 2).sum(axis=-1)
         out = mode_apply(a, rho, spec)
         for i, j in entries:
             bound = symmetric_bound(rho, g, spec, i, j)
             worst_excess = max(worst_excess, (np.abs(out[:, i, j]) - bound).max())
         for b in range(3):
-            bu = BlockUnitary(stacks[b])
+            bu = BlockUnitary(blocks.stack[b])
             kernel_dev = max(
                 kernel_dev,
                 np.abs(a_vectors(bu, bath) - a[b]).max(),
@@ -405,7 +405,7 @@ def test_09_overlap_bound_sweep(capsys):
     phase0 = np.exp(2j * np.pi * rng.random(batch))
     b1 = haar_stack(rng, batch, 2)
     b2 = haar_stack(rng, batch * (j_rand - 1), 3).reshape(batch, j_rand - 1, 3, 3)  # shells 2..20
-    out = mode_apply(ideal_mode_amplitudes(qutrit_stack(phase0, b1, b2), q), rho, spec)
+    out = mode_apply(ideal_mode_amplitudes(qutrit_blocks(phase0, b1, b2), q), rho, spec)
 
     bounds = overlap_merge_bounds(a_in, b_in, q)
     lower = np.abs(out[:, 1, 0])
@@ -418,11 +418,11 @@ def test_09_overlap_bound_sweep(capsys):
     ph = np.exp(2j * np.pi * rng.random(1))
     b1s = haar_stack(rng, 1, 2)
     b2s = haar_stack(rng, j_small - 1, 3)[None]  # shells 2..j_small
-    engine_out = mode_apply(ideal_mode_amplitudes(qutrit_stack(ph, b1s, b2s), q), rho, spec)[0]
+    engine_out = mode_apply(ideal_mode_amplitudes(qutrit_blocks(ph, b1s, b2s), q), rho, spec)[0]
     b2_deep = np.broadcast_to(np.eye(3, dtype=complex), (1, n_deep + 1, 3, 3)).copy()
     b2_deep[0, : j_small - 1] = b2s[0]
     bath = BathSpec.from_q(q, n_deep)
-    ref = sto_channel(BlockUnitary(qutrit_stack(ph, b1s, b2_deep)[0]), spec, bath).apply(rho)
+    ref = sto_channel(BlockUnitary(qutrit_blocks(ph, b1s, b2_deep).stack[0]), spec, bath).apply(rho)
     kernel_dev = np.abs(ref - engine_out).max()
 
     best_down = lower.max() / bounds["down"]

@@ -6,6 +6,7 @@ from shell_oracle import loop_a_vectors, loop_damping_blocks, loop_permutation_b
 from thermops.core import BathSpec, SystemSpec, gibbs_ladder, gibbs_state
 from thermops.channels import (
     _enumerate_shells,
+    _shell_columns,
     BlockUnitary,
     KrausChannel,
     a_vectors,
@@ -19,7 +20,6 @@ from thermops.channels import (
     permutation_blocks,
     qubit_optimal_sto,
     random_blocks,
-    shell_columns,
     shell_sto_channel,
     simultaneous_beta_swap_kraus,
     simultaneous_beta_swap_sto,
@@ -79,7 +79,9 @@ def test_block_unitary_validation(rng):
     partial[1, :2, :2] = np.diag([1.0, 1.0 + 1e-9])  # shell 1 of 3 levels holds 2
     deep[30] = good[30] @ np.diag([1.0, 1.0, 1.0 + 1e-9])
     nan[30] = np.nan
-    for stack in (partial, deep, nan):
+    batch = np.stack([good, good])
+    batch[1, 30, 0, 0] += 1e-9  # one non-unitary member fails the whole batch
+    for stack in (partial, deep, nan, batch):
         with pytest.raises(ValueError, match="not unitary"):
             BlockUnitary(stack)
 
@@ -89,13 +91,22 @@ def test_block_unitary_validation(rng):
         padded[1, 2, 0] = value
         with pytest.raises(ValueError, match=r"^shell 1 is nonzero outside its 2x2 block$"):
             BlockUnitary(padded)
+        # in a batch, the lowest offending shell of any member is named
+        batch = np.stack([good, good, good])
+        batch[2, 1, 0, 2] = value
+        batch[1, 0, 1, 0] = 1.0  # shell 0 of another member is unitary but padded
+        with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
+            BlockUnitary(batch)
+        batch[1] = good
+        with pytest.raises(ValueError, match=r"^shell 1 is nonzero outside its 2x2 block$"):
+            BlockUnitary(batch[None])
     with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
         BlockUnitary(np.eye(2)[None])  # shell 0 holds one level
     with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
         BlockUnitary([[[0.0, 0.0], [1.0, 0.0]]])  # unitary columns, but not on shell 0
 
     for shape in ((3, 3), (2, 3, 2), (2, 0, 0), (2, 3, 3, 1)):
-        with pytest.raises(ValueError, match=r"^stack must have shape \(shells, d, d\) with d >= 1"):
+        with pytest.raises(ValueError, match=r"^stack must have shape \(\.\.\., shells, d, d\) with d >= 1"):
             BlockUnitary(np.zeros(shape))
 
 
@@ -119,6 +130,12 @@ def test_block_unitary_stack(rng):
 
     empty = BlockUnitary(np.zeros((0, 3, 3)))
     assert empty.d == 3 and empty.top_shell == -1 and empty.stack.shape == (0, 3, 3)
+
+    # leading axes are a batch of stacks; d and top_shell are its members'
+    batch = BlockUnitary(np.broadcast_to(bu.stack, (2, 4, 7, 3, 3)))
+    assert batch.d == 3 and batch.top_shell == 6 and batch.stack.shape[:-3] == (2, 4)
+    assert np.array_equal(batch.stack[1, 2], bu.stack) and not batch.stack.flags.writeable
+    assert BlockUnitary(np.zeros((0, 5, 3, 3))).stack.shape == (0, 5, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -257,6 +274,9 @@ def test_sto_channel_requires_resonant_ladder():
         sto_channel(permutation_blocks(2, 11, range(2)), SystemSpec((0, 2)), bath)
     with pytest.raises(ValueError):
         sto_channel(permutation_blocks(2, 5, range(2)), SystemSpec.ladder(2), bath)  # too few shells
+    batch = BlockUnitary(permutation_blocks(2, 11, range(2)).stack[None])
+    with pytest.raises(ValueError, match=r"^sto_channel builds one channel, got a batch of shape \(1,\)$"):
+        sto_channel(batch, SystemSpec.ladder(2), bath)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -569,15 +589,21 @@ def _families(d, top, rng):
 def test_stacked_readers_match_shell_loops(d, rng):
     # top shells below (where the reference is valid), at and above d - 1
     for top in sorted({max(0, d - 2), d - 1, d, d + 7, 42}):
-        for bu in _families(d, top, rng):
+        members = list(_families(d, top, rng))
+        batch = BlockUnitary(np.stack([bu.stack for bu in members]))  # read at once, bit for bit
+        for b, bu in enumerate(members):
             p = rng.dirichlet(np.ones(d))
             for q in (0.0, 0.3, 0.5, 0.97, 1.0):
                 g, ref = sto_population_matrix(bu, q), loop_population_matrix(bu, q)
                 assert np.array_equal(g, ref)
                 assert np.array_equal(g @ p, ref @ p)  # a strided g would round differently
+                member = sto_population_matrix(batch, q)[b]
+                assert np.array_equal(member, g) and np.array_equal(member @ p, g @ p)
+                assert np.array_equal(ideal_mode_amplitudes(batch, q)[b], ideal_mode_amplitudes(bu, q))
             if top - d + 1 >= 1:
                 bath = BathSpec.from_q(0.6, top - d + 1)
                 assert np.array_equal(a_vectors(bu, bath), loop_a_vectors(bu, bath))
+                assert np.array_equal(a_vectors(batch, bath)[b], a_vectors(bu, bath))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -585,10 +611,10 @@ def test_shell_columns_batched(d, rng):
     top = d + 5
     stacks = np.stack([random_blocks(d, top, rng).stack for _ in range(4)])
     for count in (1, 2, top - d + 2, top + 1, top + 4):
-        batched = shell_columns(stacks, count)
+        batched = _shell_columns(stacks, count)
         assert batched.shape == (4, d, d, count)
         for b, stack in enumerate(stacks):
-            single = shell_columns(stack, count)
+            single = _shell_columns(stack, count)
             assert np.array_equal(batched[b], single)
             for k_out in range(d):
                 for k_in in range(d):
@@ -598,7 +624,7 @@ def test_shell_columns_batched(d, rng):
                         assert single[k_out, k_in, n] == want
     for bad in (0, -1, 1.5, np.nan):
         with pytest.raises(ValueError, match="^count must"):
-            shell_columns(stacks, bad)
+            _shell_columns(stacks, bad)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -669,7 +695,7 @@ def test_ideal_mode_amplitudes_are_the_untruncated_channel(d, rng):
     for top in sorted({0, d - 1, d + 6}):
         blocks = [random_blocks(d, top, rng) for _ in range(3)]
         for q in (0.0, 0.3, 0.8, 1.0):
-            a = ideal_mode_amplitudes(np.stack([b.stack for b in blocks]), q)
+            a = ideal_mode_amplitudes(BlockUnitary(np.stack([b.stack for b in blocks])), q)
             assert a.shape == (3, d, d, top + 2)
             gamma = ladder_gamma(d, q)
             for b, amp, out in zip(blocks, a, mode_apply(a, gamma, spec)):
@@ -680,13 +706,15 @@ def test_ideal_mode_amplitudes_are_the_untruncated_channel(d, rng):
 
 
 def test_ideal_mode_amplitudes_validation():
-    stack = permutation_blocks(3, 5, range(3)).stack
+    blocks = permutation_blocks(3, 5, range(3))
     for bad in (np.nan, -0.1, 1.1):
         with pytest.raises(ValueError, match="^q must"):
-            ideal_mode_amplitudes(stack, bad)
-    for shape in ((3, 3), (6, 3, 2), (2, 6, 2, 3)):
-        with pytest.raises(ValueError, match="^stack must have trailing shape"):
-            ideal_mode_amplitudes(np.zeros(shape, dtype=complex), 0.5)
+            ideal_mode_amplitudes(blocks, bad)
+    # a raw array is not read: the stack must pass `BlockUnitary` first
+    with pytest.raises(AttributeError):
+        ideal_mode_amplitudes(np.ones((3, 2, 2)), 0.5)
+    with pytest.raises(ValueError, match=r"^shell 0 is nonzero outside its 1x1 block$"):
+        ideal_mode_amplitudes(BlockUnitary(np.ones((3, 2, 2))), 0.5)
 
 
 def test_exto_optimal_channel(rng):

@@ -225,6 +225,15 @@ class TestMerge:
         assert up["strategy"] == "identity"
         assert up["swap_channel_value"] == pytest.approx(0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("r10, r32, x", [(5.0, 2.0, 0.7), (1e200, 3e199, 0.4)])
+    def test_swap_channel_value_at_large_coherences(self, r10, r32, x, capsys):
+        # the swap acts linearly on the coherences, however large they are
+        code, doc = run_json(capsys, ["merge", "--r10", repr(r10), "--r32", repr(r32), "--x", repr(x)])
+        assert code == 0
+        down, up = doc["results"]["down"], doc["results"]["up"]
+        assert down["swap_channel_value"] == pytest.approx((1 - x) * r10 + r32, rel=1e-15, abs=0.0)
+        assert up["swap_channel_value"] == pytest.approx(x * r10, rel=1e-15, abs=0.0)
+
     def test_overlap_oracle(self, capsys):
         code, doc = run_json(
             capsys, ["merge", "--overlap", "--a", "0.3", "--b", "0.1", "--q", "0.5"]
